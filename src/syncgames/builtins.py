@@ -123,14 +123,17 @@ def magic_square() -> tuple[Game, SynchronousStrategy]:
         lambda x: _MS_ANSWERS[x],
         _ms_decide,
         _ms_nontrivial,
+        accept_mask=_ms_mask,
     )
     strategy = SynchronousStrategy(4, _ms_honest_measurements())
     return game, strategy
 
 
 def _ms_accept_masks() -> dict:
-    """Accept masks for every MS question pair, cached once per process."""
-    game, _ = magic_square()
+    """Accept masks for every MS question pair, cached once per process.
+
+    The cached masks are shared by every caller, so they are read-only.
+    """
     masks = {}
     for x in MS_QUESTIONS:
         for y in MS_QUESTIONS:
@@ -139,6 +142,7 @@ def _ms_accept_masks() -> dict:
             for i, a in enumerate(la):
                 for j, b in enumerate(lb):
                     mask[i, j] = _ms_decide(x, y, a, b)
+            mask.flags.writeable = False
             masks[(x, y)] = mask
     return masks
 

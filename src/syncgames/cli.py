@@ -8,6 +8,7 @@ require an explicit --seed.  Exit codes: 0 success, 1 validation failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -208,6 +209,7 @@ def _cmd_ncpo(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args returns a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syncgames",
@@ -302,9 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on usage errors
         return int(exc.code or 0)
     try:

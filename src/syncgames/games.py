@@ -456,7 +456,7 @@ def sampled_value(
         flat = g.ravel()
         total = flat.sum()
         if not 0.999999 <= total <= 1.000001:
-            raise AssertionError(f"correlation mass {total} not normalized")
+            raise ValueError(f"correlation mass {total} not normalized")
         cdf = np.cumsum(flat) / total
         pick = int(np.searchsorted(cdf, unif[k], side="right"))
         pick = min(pick, flat.size - 1)

@@ -68,20 +68,19 @@ def game_to_ncpo(game: Game) -> str:
     questions = list(game.questions)
     mu = 1.0 / len(questions) ** 2
     prog = NcpoProgram(game_name=game.name)
-    toks = {}
+    toks = {x: _token(x) for x in questions}
+    # (answer, token) pairs, tokenized once for every loop below
+    answers = {x: [(a, _token(a)) for a in game.answers(x)] for x in questions}
     for x in questions:
-        toks[x] = _token(x)
-        for a in game.answers(x):
+        for _, ta in answers[x]:
             for side in ("A", "B"):
-                prog.variables.append((side, toks[x], _token(a)))
+                prog.variables.append((side, toks[x], ta))
     for x in questions:
         for y in questions:
-            for a in game.answers(x):
-                for b in game.answers(y):
+            for a, ta in answers[x]:
+                for b, tb in answers[y]:
                     if game.decide(x, y, a, b):
-                        prog.objective.append(
-                            (mu, toks[x], _token(a), toks[y], _token(b))
-                        )
+                        prog.objective.append((mu, toks[x], ta, toks[y], tb))
     for side, q, a in prog.variables:
         prog.constraints.append(("selfadjoint", side, q, a))
     for side, q, a in prog.variables:
@@ -90,12 +89,10 @@ def game_to_ncpo(game: Game) -> str:
         for side in ("A", "B"):
             prog.constraints.append(("completeness", side, toks[x]))
     for x in questions:
-        for a in game.answers(x):
+        for _, ta in answers[x]:
             for y in questions:
-                for b in game.answers(y):
-                    prog.constraints.append(
-                        ("commute", toks[x], _token(a), toks[y], _token(b))
-                    )
+                for _, tb in answers[y]:
+                    prog.constraints.append(("commute", toks[x], ta, toks[y], tb))
     return prog.render()
 
 

@@ -54,16 +54,36 @@ BUILTIN_GAMES = {
 }
 
 
+_NON_FINITE = "cannot serialize non-finite numbers"
+
+
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("cannot serialize non-finite numbers")
+        raise ValueError(_NON_FINITE)
     return format(float(x), ".17g")
 
 
-def dumps(doc, indent: int = 0) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
+def _render_matrix(a: np.ndarray) -> str:
+    """A 2-D float array as nested JSON lists, through one %-template."""
+    if a.ndim != 2 or a.dtype.kind != "f":
+        raise ValueError(f"cannot serialize a {a.ndim}-D {a.dtype} array")
+    if not np.isfinite(a).all():
+        raise ValueError(_NON_FINITE)
+    rows, cols = a.shape
+    row = "[" + ", ".join(["%.17g"] * cols) + "]"
+    return ("[" + ", ".join([row] * rows) + "]") % tuple(a.ravel().tolist())
+
+
+def dumps(doc) -> str:
+    """Deterministic JSON text with 17-significant-digit floats.
+
+    2-D float arrays (as held by matrix documents) render as nested lists,
+    with the same bytes as lists of their entries.
+    """
 
     def render(node) -> str:
+        if isinstance(node, np.ndarray):
+            return _render_matrix(node)
         if isinstance(node, dict):
             items = [f"{json.dumps(str(k))}: {render(v)}" for k, v in node.items()]
             return "{" + ", ".join(items) + "}"
@@ -100,12 +120,9 @@ def label_key(label) -> str:
 
 
 def matrix_to_doc(op: np.ndarray) -> dict:
+    """Real and imaginary parts as 2-D float arrays (`dumps` renders them)."""
     op = np.asarray(op, dtype=complex)
-    return {
-        "dim": op.shape[0],
-        "re": [[float(v) for v in row] for row in op.real],
-        "im": [[float(v) for v in row] for row in op.imag],
-    }
+    return {"dim": op.shape[0], "re": op.real.copy(), "im": op.imag.copy()}
 
 
 def matrix_from_doc(doc: dict) -> np.ndarray:

@@ -80,6 +80,39 @@ class TestEval:
             outs.append(read(out))
         assert outs[0] == outs[1]
 
+    def test_sampled_incomplete_strategy_is_validation_error(self, ms_files, tmp_path, capsys):
+        game, strategy = ms_files
+        doc = json.loads(read(strategy))
+        zero = [[0.0] * 4 for _ in range(4)]
+        # drop the first answer of "r1": a rank-one projector, so the
+        # correlations of r1 carry mass 3/4
+        doc["measurements"]['"r1"'][0] = {"dim": 4, "re": zero, "im": zero}
+        broken = tmp_path / "incomplete.json"
+        broken.write_text(dumps(doc))
+        rc = run(
+            ["eval", "--game", str(game), "--strategy", str(broken), "--sample", "2000", "--seed", "1"]
+        )
+        assert rc == 1
+        assert "not normalized" in capsys.readouterr().err
+
+    def test_verbs_back_to_back_share_no_state(self, ms_files, tmp_path):
+        game, strategy = ms_files
+        sampled, exact = tmp_path / "sampled.json", tmp_path / "exact.json"
+        argv = ["eval", "--game", str(game), "--strategy", str(strategy)]
+        assert run([*argv, "--sample", "100", "--seed", "3", "--out", str(sampled)]) == 0
+        assert run([*argv, "--out", str(exact)]) == 0
+        assert set(json.loads(read(sampled))) == {"estimate", "stderr", "samples", "seed"}
+        assert set(json.loads(read(exact))) == {
+            "value",
+            "trivial_mass",
+            "question_count",
+            "per_pair",
+        }
+        # a different verb after them still parses its own defaults only
+        resid = tmp_path / "resid.json"
+        assert run(["rigidity", "--kind", "ms", "--out", str(resid)]) == 0
+        assert json.loads(read(resid))["max_residual"] <= 1e-10
+
     def test_malformed_json_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -80,6 +80,17 @@ class TestMagicSquare:
         report = value(game, strategy)
         assert report.value == pytest.approx(expected, abs=1e-12)
 
+    def test_mask_hook_matches_decide_loop(self):
+        game, _ = magic_square()
+        for x in game.questions:
+            for y in game.questions:
+                mask = game.accept_mask(x, y)
+                loop = np.array(
+                    [[game.decide(x, y, a, b) for b in game.answers(y)] for a in game.answers(x)]
+                )
+                assert np.array_equal(mask, loop), (x, y)
+                assert not mask.flags.writeable  # cached and shared
+
     def test_missing_measurement_rejected(self):
         game, strategy = magic_square()
         partial = SynchronousStrategy(

@@ -1,5 +1,6 @@
 """Wire formats: JSON round trips, byte stability, DIMACS."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from syncgames.algebra import closeness
 from syncgames.builtins import magic_square, two_of_n_ms
+from syncgames.cli import run
 from syncgames.cooklevin import compile_cnf, equality_machine
 from syncgames.games import value
 from syncgames.serialize import (
@@ -54,6 +56,90 @@ class TestPrimitives:
         doc1 = dumps(strategy_to_doc(strategy))
         doc2 = dumps(strategy_to_doc(strategy))
         assert doc1 == doc2
+
+
+def reference_dumps(doc) -> str:
+    """The one-float-at-a-time renderer that `dumps` must match byte for byte."""
+
+    def render(node) -> str:
+        if isinstance(node, np.ndarray):
+            return render(node.tolist())
+        if isinstance(node, dict):
+            items = [f"{json.dumps(str(k))}: {render(v)}" for k, v in node.items()]
+            return "{" + ", ".join(items) + "}"
+        if isinstance(node, (list, tuple)):
+            return "[" + ", ".join(render(v) for v in node) + "]"
+        if isinstance(node, bool):
+            return "true" if node else "false"
+        if isinstance(node, (int, np.integer)):
+            return str(int(node))
+        if isinstance(node, (float, np.floating)):
+            x = float(node)
+            if x != x or x in (float("inf"), float("-inf")):
+                raise ValueError("cannot serialize non-finite numbers")
+            return format(x, ".17g")
+        if node is None:
+            return "null"
+        return json.dumps(str(node))
+
+    return render(doc) + "\n"
+
+
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.0, -3.0, 2.0**52, 1 / 3)
+
+
+class TestBulkRendering:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_renderer(self, seed):
+        rng = rng_for("bulk", seed)
+        d = int(rng.integers(1, 9))
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m *= 10.0 ** rng.integers(-20, 20, size=(d, d))
+        flat = m.reshape(-1)
+        picks = rng.integers(0, flat.size, size=min(flat.size, 2 * len(SPECIAL_FLOATS)))
+        for k, pos in enumerate(picks):
+            special = SPECIAL_FLOATS[k % len(SPECIAL_FLOATS)]
+            if k % 2:
+                flat[pos] = complex(flat[pos].real, special)
+            else:
+                flat[pos] = complex(special, flat[pos].imag)
+        doc = {"dim": d, "elements": [matrix_to_doc(m), matrix_to_doc(m.conj())], "x": 0.5}
+        assert dumps(doc) == reference_dumps(doc)
+
+    def test_special_values_render_exactly(self):
+        m = np.array([list(SPECIAL_FLOATS)] * 2)
+        text = dumps({"m": m})
+        assert text == reference_dumps({"m": m})
+        assert text.startswith('{"m": [[-0, 0, 4.9406564584124654e-324, ')
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({"x": bad})
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = complex(0.0, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps(matrix_to_doc(m))
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--builtin", "magic_square"],
+                "d0e318df29fec9197ce854a3299c58273c0439cd0085d879e98fbbf18ff2e53c",
+            ),
+            (
+                ["--builtin", "two_of_n_ms", "--n", "2"],
+                "1a5118b5f8ece54e81aecdd5415b06deca281aa358add5b0fe0beffe2d841c44",
+            ),
+        ],
+    )
+    def test_strategy_export_bytes_pinned(self, argv, digest, tmp_path):
+        out = tmp_path / "strategy.json"
+        rc = run(["game", "show", *argv, "--out", str(tmp_path / "game.json"),
+                  "--strategy-out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestStrategyDocs:
