@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .algebra import Measurement, bitstrings
-from .games import Game, SynchronousStrategy
+from .games import Game, SynchronousStrategy, _transposed
 
 __all__ = [
     "magic_square",
@@ -53,24 +53,43 @@ def _ms_satisfies(eq: str, a) -> bool:
     return sum(a) % 2 == _MS_PARITY[eq]
 
 
-def _ms_decide(x, y, a, b) -> bool:
+def _ms_pair_mask(x, y):
+    """Accept mask of a Magic Square question pair, None when trivial.
+
+    An equation and one of its variables must agree on that variable, and
+    the equation's answer must satisfy its parity.
+    """
     if x == y:
-        return a == b
-    if x in MS_EQUATIONS and y in MS_VARIABLES and y in MS_EQUATIONS[x]:
-        return _ms_satisfies(x, a) and a[MS_EQUATIONS[x].index(y)] == b
-    if y in MS_EQUATIONS and x in MS_VARIABLES and x in MS_EQUATIONS[y]:
-        return _ms_satisfies(y, b) and b[MS_EQUATIONS[y].index(x)] == a
-    return True
+        return np.eye(len(_MS_ANSWERS[x]), dtype=bool)
+    if x in MS_VARIABLES and y in MS_EQUATIONS:
+        return _transposed(_ms_pair_mask(y, x))
+    if x not in MS_EQUATIONS or y not in MS_EQUATIONS[x]:
+        return None
+    k = MS_EQUATIONS[x].index(y)
+    return np.array(
+        [[_ms_satisfies(x, a) and a[k] == b for b in _MS_ANSWERS[y]] for a in _MS_ANSWERS[x]],
+        dtype=bool,
+    )
 
 
-def _ms_nontrivial(x, y) -> bool:
-    if x == y:
-        return True
-    if x in MS_EQUATIONS and y in MS_VARIABLES:
-        return y in MS_EQUATIONS[x]
-    if y in MS_EQUATIONS and x in MS_VARIABLES:
-        return x in MS_EQUATIONS[y]
-    return False
+def _ms_masks() -> dict:
+    """Masks of the nontrivial MS pairs, shared by every caller, so read-only."""
+    masks = {}
+    for x in MS_QUESTIONS:
+        for y in MS_QUESTIONS:
+            mask = _ms_pair_mask(x, y)
+            if mask is not None:
+                mask.flags.writeable = False
+                masks[(x, y)] = mask
+    return masks
+
+
+_MS_MASKS = _ms_masks()
+_MS_NONTRIVIAL_PAIRS = list(_MS_MASKS)
+
+
+def _ms_rule(x, y):
+    return _MS_MASKS.get((x, y))
 
 
 def _ms_observables() -> dict:
@@ -117,97 +136,34 @@ def magic_square() -> tuple[Game, SynchronousStrategy]:
     the decider rejects the unsatisfying ones.  The honest dim-4 strategy
     realizes the Pauli observable grid.
     """
-    game = Game(
-        "magic_square",
-        list(MS_QUESTIONS),
-        lambda x: _MS_ANSWERS[x],
-        _ms_decide,
-        _ms_nontrivial,
-        accept_mask=_ms_mask,
-    )
+    game = Game("magic_square", list(MS_QUESTIONS), lambda x: _MS_ANSWERS[x], _ms_rule)
     strategy = SynchronousStrategy(4, _ms_honest_measurements())
     return game, strategy
-
-
-def _ms_accept_masks() -> dict:
-    """Accept masks for every MS question pair, cached once per process.
-
-    The cached masks are shared by every caller, so they are read-only.
-    """
-    masks = {}
-    for x in MS_QUESTIONS:
-        for y in MS_QUESTIONS:
-            la, lb = _MS_ANSWERS[x], _MS_ANSWERS[y]
-            mask = np.empty((len(la), len(lb)), dtype=bool)
-            for i, a in enumerate(la):
-                for j, b in enumerate(lb):
-                    mask[i, j] = _ms_decide(x, y, a, b)
-            mask.flags.writeable = False
-            masks[(x, y)] = mask
-    return masks
-
-
-_MS_MASKS: dict = {}
-
-
-def _ms_mask(x, y) -> np.ndarray:
-    if not _MS_MASKS:
-        _MS_MASKS.update(_ms_accept_masks())
-    return _MS_MASKS[(x, y)]
-
-
-_MS_NONTRIVIAL_PAIRS = [
-    (x, y) for x in MS_QUESTIONS for y in MS_QUESTIONS if _ms_nontrivial(x, y)
-]
 
 
 def _shared_instances(q, r) -> list:
     return sorted({q[0], q[1]} & {r[0], r[1]})
 
 
-def _instance_component(q, a, w):
-    """Question and answer component of instance w inside (i, j, x_i, x_j)."""
-    if q[0] == w:
-        return q[2], a[0]
-    return q[3], a[1]
+def _two_of_n_rule(q, r):
+    """Product accept mask of a 2-of-n pair, None when trivial.
 
-
-def _two_of_n_nontrivial(q, r) -> bool:
+    A pair is nontrivial when the players share an instance and every
+    shared instance carries a nontrivial Magic Square pair; the mask is
+    the product of those pairs' masks over the answer components.
+    """
     if q == r:
-        return True
-    shared = _shared_instances(q, r)
-    if not shared:
-        return False
-    for w in shared:
-        xq = q[2] if q[0] == w else q[3]
-        xr = r[2] if r[0] == w else r[3]
-        if not _ms_nontrivial(xq, xr):
-            return False
-    return True
-
-
-def _two_of_n_decide(q, r, a, b) -> bool:
-    if q == r:
-        return a == b
-    if not _two_of_n_nontrivial(q, r):
-        return True
+        return np.eye(len(_MS_ANSWERS[q[2]]) * len(_MS_ANSWERS[q[3]]), dtype=bool)
+    factors = []
     for w in _shared_instances(q, r):
-        xq, aq = _instance_component(q, a, w)
-        xr, br = _instance_component(r, b, w)
-        if not _ms_decide(xq, xr, aq, br):
-            return False
-    return True
-
-
-def _two_of_n_mask(q, r) -> np.ndarray:
-    """Product-structure accept mask for a nontrivial 2-of-n pair."""
-    if q == r:
-        na = len(_MS_ANSWERS[q[2]]) * len(_MS_ANSWERS[q[3]])
-        return np.eye(na, dtype=bool)
-    if not _two_of_n_nontrivial(q, r):
-        la = len(_MS_ANSWERS[q[2]]) * len(_MS_ANSWERS[q[3]])
-        lb = len(_MS_ANSWERS[r[2]]) * len(_MS_ANSWERS[r[3]])
-        return np.ones((la, lb), dtype=bool)
+        qpos = 0 if q[0] == w else 1
+        rpos = 0 if r[0] == w else 1
+        factor = _ms_rule(q[2 + qpos], r[2 + rpos])
+        if factor is None:
+            return None
+        factors.append((qpos, rpos, factor))
+    if not factors:
+        return None
     sizes = (
         len(_MS_ANSWERS[q[2]]),
         len(_MS_ANSWERS[q[3]]),
@@ -215,12 +171,7 @@ def _two_of_n_mask(q, r) -> np.ndarray:
         len(_MS_ANSWERS[r[3]]),
     )
     mask = np.ones(sizes, dtype=bool)
-    for w in _shared_instances(q, r):
-        qpos = 0 if q[0] == w else 1
-        rpos = 0 if r[0] == w else 1
-        xq = q[2 + qpos]
-        xr = r[2 + rpos]
-        factor = _ms_mask(xq, xr)
+    for qpos, rpos, factor in factors:
         shape = [1, 1, 1, 1]
         shape[qpos] = factor.shape[0]
         shape[2 + rpos] = factor.shape[1]
@@ -307,9 +258,7 @@ def two_of_n_ms(n: int) -> tuple[Game, SynchronousStrategy]:
         f"two_of_{n}_ms",
         questions,
         _two_of_n_answers,
-        _two_of_n_decide,
-        _two_of_n_nontrivial,
-        accept_mask=_two_of_n_mask,
+        _two_of_n_rule,
         nontrivial_pairs=lambda: _two_of_n_pairs_iter(n),
     )
     ms_meas = _ms_honest_measurements()
@@ -381,36 +330,25 @@ def question_sampling(n: int) -> tuple[Game, SynchronousStrategy]:
             return strings
         return _two_of_n_answers(q)
 
-    def nontrivial(q, r):
-        if q == r:
-            return True
+    def special_mask(q, special):
+        """Base question q against a sampling/erasure question, or None."""
+        bit = _qs_special_row(q, special, n)
+        if bit is None:
+            return None
+        first = np.array([a[0] for a in _two_of_n_answers(q)])
+        return first[:, None] == np.array([s[bit] for s in strings])[None, :]
+
+    def rule(q, r):
         q_base, r_base = q in base_set, r in base_set
         if q_base and r_base:
-            return _two_of_n_nontrivial(q, r)
-        if q_base and r in _QS_SPECIALS:
-            return _qs_special_row(q, r, n) is not None
-        if r_base and q in _QS_SPECIALS:
-            return _qs_special_row(r, q, n) is not None
-        return False
-
-    def decide(q, r, a, b):
+            return _two_of_n_rule(q, r)
         if q == r:
-            return a == b
-        q_base, r_base = q in base_set, r in base_set
-        if q_base and r_base:
-            return _two_of_n_decide(q, r, a, b)
+            return np.eye(len(strings), dtype=bool)
         if q_base and r in _QS_SPECIALS:
-            bit = _qs_special_row(q, r, n)
-            return True if bit is None else b[bit] == a[0]
+            return special_mask(q, r)
         if r_base and q in _QS_SPECIALS:
-            bit = _qs_special_row(r, q, n)
-            return True if bit is None else a[bit] == b[0]
-        return True
-
-    def accept_mask(q, r):
-        if q in base_set and r in base_set:
-            return _two_of_n_mask(q, r)
-        return None  # fall back to the decide loop
+            return _transposed(special_mask(r, q))
+        return None
 
     def pairs_iter():
         yield from _two_of_n_pairs_iter(n)
@@ -426,9 +364,7 @@ def question_sampling(n: int) -> tuple[Game, SynchronousStrategy]:
         f"question_sampling_{n}",
         questions,
         answers,
-        decide,
-        nontrivial,
-        accept_mask=accept_mask,
+        rule,
         nontrivial_pairs=pairs_iter,
     )
 
@@ -467,8 +403,7 @@ def trivial_game(l: int) -> tuple[Game, SynchronousStrategy]:
         f"trivial_{l}",
         list(questions),
         lambda x: (0,),
-        lambda x, y, a, b: True,
-        lambda x, y: x == y,
+        lambda x, y: np.ones((1, 1), dtype=bool) if x == y else None,
     )
     meas = Measurement((0,), [np.eye(1, dtype=complex)], kind="projective")
     strategy = SynchronousStrategy(1, {q: meas for q in questions})
@@ -487,8 +422,7 @@ def consistency_game(l: int) -> tuple[Game, SynchronousStrategy]:
         f"consistency_{l}",
         list(questions),
         lambda x: (0, 1),
-        lambda x, y, a, b: a == b,
-        lambda x, y: True,
+        lambda x, y: np.eye(2, dtype=bool),
     )
     basis = Measurement(
         (0, 1),
@@ -508,23 +442,14 @@ def forbidden_pair_game(l: int) -> tuple[Game, SynchronousStrategy]:
     questions = bitstrings(l)
     bad = (questions[0], questions[1])
 
-    def decide(x, y, a, b):
+    def rule(x, y):
         if x == y:
-            return a == b
+            return np.eye(2, dtype=bool)
         if (x, y) == bad or (y, x) == bad:
-            return False
-        return True
+            return np.zeros((2, 2), dtype=bool)
+        return None
 
-    def nontrivial(x, y):
-        return x == y or (x, y) == bad or (y, x) == bad
-
-    game = Game(
-        f"forbidden_pair_{l}",
-        list(questions),
-        lambda x: (0, 1),
-        decide,
-        nontrivial,
-    )
+    game = Game(f"forbidden_pair_{l}", list(questions), lambda x: (0, 1), rule)
     one = np.eye(1, dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
     meas = Measurement((0, 1), [one, zero], kind="projective")

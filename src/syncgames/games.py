@@ -1,9 +1,12 @@
 """Synchronous nonlocal games and their tracial-strategy evaluation.
 
-A game is a question set, per-question answer labels, a decision predicate
-and a nontrivial-pair classifier; the question distribution is always
-uniform.  A synchronous strategy assigns one projective measurement per
-question on a common dimension; correlations are tr(M^x_a M^y_b)/dim.
+A game is a question set, per-question answer labels and one pair rule;
+the question distribution is always uniform.  The rule maps a question
+pair (x, y) to its boolean accept mask over answers(x) x answers(y), or to
+None when every answer pair wins (a trivial pair); the nontrivial test,
+the accept mask and the decision predicate are all read off it.  A
+synchronous strategy assigns one projective measurement per question on a
+common dimension; correlations are tr(M^x_a M^y_b)/dim.
 Exact evaluation walks only the nontrivial question pairs (trivial pairs
 contribute winning mass analytically) and works in a per-question
 eigenbasis so each pair costs one d x d unitary product.
@@ -11,11 +14,8 @@ eigenbasis so each pair costs one d x d unitary product.
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,16 +43,6 @@ __all__ = [
     "index_answer_bits",
 ]
 
-THREADS_ENV = "SYNCGAMES_THREADS"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def index_answer_bits(num_answers: int):
     """Fixed-width big-endian index encoding for an answer list."""
@@ -64,15 +54,29 @@ def index_answer_bits(num_answers: int):
     return width, encode
 
 
+def _transposed(mask):
+    """Mask of the swapped question pair; None stays None.
+
+    The copy is C-contiguous like a freshly built mask, so consumers that
+    hand masks to BLAS (the see-saw's tensordot) see one memory layout.
+    """
+    return None if mask is None else np.ascontiguousarray(mask.T)
+
+
 class Game:
     """Synchronous game with uniform question distribution.
 
     questions is any indexable sequence (lazily indexed for transformed
-    games whose question space is too large to materialize).  answers,
-    decide and nontrivial are callables; optional hooks provide vectorized
-    accept masks, direct nontrivial-pair enumeration, a Turing-machine
-    decider family (needed by answer reduction), and a per-question binary
-    answer encoding.
+    games whose question space is too large to materialize).  answers(x)
+    lists the answer labels of x.  rule(x, y) is called for every ordered
+    pair, the diagonal included, and returns the boolean accept mask over
+    answers(x) x answers(y), or None for a trivial pair; it must return
+    None before building anything, since samplers test millions of
+    pairs.  Masks are read-only to callers, so a rule may return cached
+    arrays.  Optional hooks provide direct nontrivial-pair enumeration
+    (which fixes the pair order of exact evaluation), a Turing-machine
+    decider family (needed by answer reduction), and a per-question
+    binary answer encoding.
     """
 
     def __init__(
@@ -80,10 +84,8 @@ class Game:
         name: str,
         questions,
         answers,
-        decide,
-        nontrivial,
+        rule,
         *,
-        accept_mask=None,
         nontrivial_pairs=None,
         tm_decider=None,
         answer_bits=None,
@@ -91,9 +93,7 @@ class Game:
         self.name = name
         self.questions = questions
         self._answers = answers
-        self.decide = decide
-        self.nontrivial = nontrivial
-        self._accept_mask = accept_mask
+        self.rule = rule
         self._nontrivial_pairs = nontrivial_pairs
         self.tm_decider = tm_decider
         self._answer_bits = answer_bits
@@ -118,19 +118,22 @@ class Game:
         except TypeError:  # unhashable question label
             return tuple(self._answers(x))
 
+    def nontrivial(self, x, y) -> bool:
+        return self.rule(x, y) is not None
+
     def accept_mask(self, x, y) -> np.ndarray:
-        """Boolean matrix of decide over answers(x) x answers(y)."""
-        if self._accept_mask is not None:
-            mask = self._accept_mask(x, y)
-            if mask is not None:
-                return mask
-        a_labels = self.answers(x)
-        b_labels = self.answers(y)
-        mask = np.empty((len(a_labels), len(b_labels)), dtype=bool)
-        for i, a in enumerate(a_labels):
-            for j, b in enumerate(b_labels):
-                mask[i, j] = bool(self.decide(x, y, a, b))
+        """Read-only boolean matrix of winning answer pairs of (x, y)."""
+        mask = self.rule(x, y)
+        if mask is None:
+            return np.broadcast_to(True, (len(self.answers(x)), len(self.answers(y))))
         return mask
+
+    def decide(self, x, y, a, b) -> bool:
+        """Whether answers a to x and b to y win."""
+        mask = self.rule(x, y)
+        if mask is None:
+            return True
+        return bool(mask[self.answers(x).index(a), self.answers(y).index(b)])
 
     def nontrivial_pairs(self):
         """Ordered nontrivial question pairs, deterministic order."""
@@ -364,31 +367,16 @@ def value(game: Game, strategy: SynchronousStrategy, tol: Tolerance = DEFAULT_TO
 
     Iterates nontrivial pairs only; trivial pairs contribute winning mass
     analytically.  Pair contributions are accumulated with compensated
-    summation in a fixed order, so results are bit-stable for any thread
-    count (threads set via the SYNCGAMES_THREADS environment variable).
+    summation in the fixed order of nontrivial_pairs, so results are
+    bit-stable.
     """
     n = game.question_count()
     ev = StrategyEvaluator(game, strategy, tol)
     pairs = list(game.nontrivial_pairs())
-
-    def chunk_probs(chunk):
-        return [ev.win_probability(x, y) for x, y in chunk]
-
-    threads = _thread_count()
-    # one BLAS thread per worker: the per-pair matrices are small enough
-    # that BLAS-internal threading only adds synchronization cost
+    # one BLAS thread: the per-pair matrices are small enough that
+    # BLAS-internal threading only adds synchronization cost
     with threadpool_limits(limits=1, user_api="blas"):
-        if threads > 1 and len(pairs) > 4 * threads:
-            # warm the per-question caches serially; builds are not thread-safe
-            for q in game.questions:
-                ev.form(q)
-            size = max(1, (len(pairs) + 4 * threads - 1) // (4 * threads))
-            chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(chunk_probs, chunks))
-            probs = [p for sub in results for p in sub]
-        else:
-            probs = chunk_probs(pairs)
+        probs = [ev.win_probability(x, y) for x, y in pairs]
 
     per_pair = dict(zip(pairs, probs))
     trivial_count = n * n - len(pairs)
@@ -414,8 +402,8 @@ def sampled_value(
     """Monte Carlo estimate of the value with binomial standard error.
 
     Draws (x, y) uniformly, then samples an answer pair from the strategy
-    correlation tr(M^x_a M^y_b)/dim and scores the decider.  Deterministic
-    given the seed.
+    correlation tr(M^x_a M^y_b)/dim and scores it against the accept
+    mask.  Deterministic given the seed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -461,9 +449,7 @@ def sampled_value(
         pick = int(np.searchsorted(cdf, unif[k], side="right"))
         pick = min(pick, flat.size - 1)
         ia, ib = divmod(pick, g.shape[1])
-        a = game.answers(x)[ia]
-        b = game.answers(y)[ib]
-        if game.decide(x, y, a, b):
+        if game.accept_mask(x, y)[ia, ib]:
             wins += 1
     est = wins / samples
     stderr = math.sqrt(est * (1.0 - est) / samples)
@@ -471,10 +457,11 @@ def sampled_value(
 
 
 def is_synchronous(game: Game, *, max_questions: int | None = None) -> bool:
-    """Check decide(x,x,a,b) = 1 iff a = b, exhaustively at desk scale.
+    """Check that every diagonal accept mask is the identity (a = b).
 
-    For games with more questions than max_questions, a deterministic
-    evenly-spaced subsample of questions is checked instead.
+    Exhaustive at desk scale.  For games with more questions than
+    max_questions, a deterministic evenly-spaced subsample of questions is
+    checked instead.
     """
     n = game.question_count()
     if max_questions is not None and n > max_questions:
@@ -483,11 +470,9 @@ def is_synchronous(game: Game, *, max_questions: int | None = None) -> bool:
         idxs = range(n)
     for i in idxs:
         x = game.questions[int(i)]
-        labels = game.answers(x)
-        for a in labels:
-            for b in labels:
-                if bool(game.decide(x, x, a, b)) != (a == b):
-                    return False
+        eye = np.eye(len(game.answers(x)), dtype=bool)
+        if not np.array_equal(game.accept_mask(x, x), eye):
+            return False
     return True
 
 
@@ -571,27 +556,17 @@ def table_game(
         accept_sets[(x, y)] = frozenset(pairs)
         accept_sets.setdefault((y, x), frozenset((b, a) for a, b in pairs))
 
-    def decide(x, y, a, b):
+    def rule(x, y):
         if x == y:
-            return a == b
-        if (x, y) in accept_sets:
-            return (a, b) in accept_sets[(x, y)]
-        if (x, y) in listed:
+            return np.eye(len(answers[x]), dtype=bool)
+        if (x, y) not in listed:
+            return None
+        if (x, y) not in accept_sets:
             raise ValueError(f"nontrivial pair {(x, y)!r} has no accept set")
-        return True
+        ok = accept_sets[(x, y)]
+        return np.array([[(a, b) in ok for b in answers[y]] for a in answers[x]], dtype=bool)
 
-    def nontrivial(x, y):
-        if x == y:
-            return True
-        return (x, y) in listed
-
-    game = Game(
-        name,
-        questions,
-        lambda x: answers[x],
-        decide,
-        nontrivial,
-    )
+    game = Game(name, questions, lambda x: answers[x], rule)
     if check and not is_synchronous(game):
         raise ValueError("table game is not synchronous")
     return game

@@ -69,18 +69,17 @@ def game_to_ncpo(game: Game) -> str:
     mu = 1.0 / len(questions) ** 2
     prog = NcpoProgram(game_name=game.name)
     toks = {x: _token(x) for x in questions}
-    # (answer, token) pairs, tokenized once for every loop below
-    answers = {x: [(a, _token(a)) for a in game.answers(x)] for x in questions}
+    # answer tokens, computed once for every loop below
+    atoks = {x: [_token(a) for a in game.answers(x)] for x in questions}
     for x in questions:
-        for _, ta in answers[x]:
+        for ta in atoks[x]:
             for side in ("A", "B"):
                 prog.variables.append((side, toks[x], ta))
     for x in questions:
         for y in questions:
-            for a, ta in answers[x]:
-                for b, tb in answers[y]:
-                    if game.decide(x, y, a, b):
-                        prog.objective.append((mu, toks[x], ta, toks[y], tb))
+            # nonzero lists the winning (a, b) in row-major order
+            for ia, ib in zip(*game.accept_mask(x, y).nonzero()):
+                prog.objective.append((mu, toks[x], atoks[x][ia], toks[y], atoks[y][ib]))
     for side, q, a in prog.variables:
         prog.constraints.append(("selfadjoint", side, q, a))
     for side, q, a in prog.variables:
@@ -89,9 +88,9 @@ def game_to_ncpo(game: Game) -> str:
         for side in ("A", "B"):
             prog.constraints.append(("completeness", side, toks[x]))
     for x in questions:
-        for _, ta in answers[x]:
+        for ta in atoks[x]:
             for y in questions:
-                for _, tb in answers[y]:
+                for tb in atoks[y]:
                     prog.constraints.append(("commute", toks[x], ta, toks[y], tb))
     return prog.render()
 

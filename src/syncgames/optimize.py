@@ -82,9 +82,9 @@ def _coefficients(game: Game, x, measurements: dict, questions) -> list[np.ndarr
     for y in questions:
         if y == x:
             continue
-        if not game.nontrivial(x, y):
+        mask = game.rule(x, y)
+        if mask is None:
             continue  # full answer mass: constant shift for complete POVMs
-        mask = game.accept_mask(x, y)
         ys = measurements[y]
         stacked = np.tensordot(mask.astype(float), np.stack(ys), axes=(1, 0))
         for ia in range(len(labels)):

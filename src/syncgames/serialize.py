@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .algebra import Measurement
+from .algebra import DEFAULT_TOL, Measurement
 from .builtins import (
     consistency_game,
     forbidden_pair_game,
@@ -161,18 +161,29 @@ def strategy_to_doc(strategy: SynchronousStrategy, questions=None) -> dict:
 
 
 def strategy_from_doc(doc: dict, game: Game) -> SynchronousStrategy:
-    """Rebind serialized measurements to the game's question labels."""
+    """Rebind serialized measurements to the game's question labels.
+
+    Each measurement must sum to the identity within DEFAULT_TOL.eps;
+    projectivity is left to exact evaluation, which checks it anyway.
+    """
     table = {}
     raw = doc["measurements"]
     for x in game.questions:
         key = label_key(x)
         if key not in raw:
             raise ValueError(f"strategy document misses question {key}")
-        table[x] = Measurement(
+        m = Measurement(
             game.answers(x),
             [matrix_from_doc(e) for e in raw[key]],
             kind="projective",
         )
+        total = np.sum(m.elements, axis=0)
+        if np.abs(total - np.eye(m.dim)).max() > DEFAULT_TOL.eps:
+            raise ValueError(
+                f"measurement for question {key} is not normalized:"
+                " its elements do not sum to the identity"
+            )
+        table[x] = m
     return SynchronousStrategy(int(doc["dim"]), table)
 
 

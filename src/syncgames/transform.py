@@ -38,7 +38,13 @@ from .cooklevin import (
     simulate,
     tableau_assignment,
 )
-from .games import Game, SynchronousStrategy, is_oracularizable, is_synchronous
+from .games import (
+    Game,
+    SynchronousStrategy,
+    _transposed,
+    is_oracularizable,
+    is_synchronous,
+)
 
 __all__ = [
     "BudgetError",
@@ -87,38 +93,34 @@ def oracularize(game: Game) -> Game:
             return game.answers(q[1])
         return tuple(itertools.product(game.answers(q[1]), game.answers(q[2])))
 
-    def check(qa, qb, a, b):
-        """Oracle question qa against isolated qb, answers (a, b)."""
+    def oracle_mask(qa, z):
+        """Oracle question qa against isolated question z, or None.
+
+        The oracle answer (a, b) must win the base pair and agree with the
+        isolated answer on the shared question.
+        """
         x, y = qa[1], qa[2]
-        z = qb[1]
-        if not game.nontrivial(x, y) or z not in (x, y):
+        if z not in (x, y):
             return None
-        ok = game.decide(x, y, a[0], a[1])
+        base = game.rule(x, y)
+        if base is None:
+            return None
+        na, nb = base.shape
+        mask = np.repeat(base.reshape(na * nb, 1), len(game.answers(z)), axis=1)
         if z == x:
-            ok = ok and b == a[0]
+            mask &= np.repeat(np.eye(na, dtype=bool), nb, axis=0)
         if z == y:
-            ok = ok and b == a[1]
-        return ok
+            mask &= np.tile(np.eye(nb, dtype=bool), (na, 1))
+        return mask
 
-    def decide(q, r, a, b):
+    def rule(q, r):
         if q == r:
-            return a == b
+            return np.eye(len(answers(q)), dtype=bool)
         if q[0] == "ora" and r[0] == "iso":
-            res = check(q, r, a, b)
-            return True if res is None else res
+            return oracle_mask(q, r[1])
         if q[0] == "iso" and r[0] == "ora":
-            res = check(r, q, b, a)
-            return True if res is None else res
-        return True
-
-    def nontrivial(q, r):
-        if q == r:
-            return True
-        if q[0] == "ora" and r[0] == "iso":
-            return game.nontrivial(q[1], q[2]) and r[1] in (q[1], q[2])
-        if q[0] == "iso" and r[0] == "ora":
-            return game.nontrivial(r[1], r[2]) and q[1] in (r[1], r[2])
-        return False
+            return _transposed(oracle_mask(r, q[1]))
+        return None
 
     def pairs():
         for q in questions:
@@ -129,14 +131,7 @@ def oracularize(game: Game) -> Game:
                 yield (ora, ("iso", z))
                 yield (("iso", z), ora)
 
-    return Game(
-        f"{game.name}.orac",
-        questions,
-        answers,
-        decide,
-        nontrivial,
-        nontrivial_pairs=pairs,
-    )
+    return Game(f"{game.name}.orac", questions, answers, rule, nontrivial_pairs=pairs)
 
 
 def _designated(game: Game, x, y):
@@ -245,55 +240,53 @@ def introspect(game: Game) -> Game:
             return ans_iw
         return ans_iwq
 
-    edges = set(_intro_edges())
+    def equal_mask(keys_a, keys_b):
+        return np.array([[ka == kb for kb in keys_b] for ka in keys_a], dtype=bool)
 
-    def nontrivial(q, r):
-        if q == r:
-            return True
-        if q in qs_set and r in qs_set:
-            return qs_game.nontrivial(q, r)
-        return (q, r) in edges or (r, q) in edges
+    def transcript_mask(w):
+        """I's (x, a, y, b) against I_W's (z, c): on a nontrivial base pair
+        the transcript must win and (z, c) must be player W's half."""
+        iw_index = {lab: k for k, lab in enumerate(ans_iw)}
+        rows = []
+        for x in xs:
+            for ia, a in enumerate(game.answers(x)):
+                for y in xs:
+                    base = game.rule(x, y)
+                    for ib, b in enumerate(game.answers(y)):
+                        row = np.full(len(ans_iw), base is None)
+                        if base is not None and base[ia, ib]:
+                            row[iw_index[(x, a) if w == "A" else (y, b)]] = True
+                        rows.append(row)
+        return np.array(rows)
 
-    def row_check(q, r, a, b):
-        """Winning condition for an ordered special edge (q, r), else None."""
+    def edge_mask(q, r):
+        """Accept mask of the ordered special edge (q, r)."""
         for w in ("A", "B"):
             if q == INTRO_I and r == _INTRO_IW[w]:
-                xa, aa, xb, ab = a
-                z, c = b
-                if not game.nontrivial(xa, xb):
-                    return True
-                xw, aw = (xa, aa) if w == "A" else (xb, ab)
-                return z == xw and c == aw and bool(game.decide(xa, xb, aa, ab))
-            if q == _INTRO_IW[w] and r in (_INTRO_IWS[w], _INTRO_IWE[w]):
-                x, aw = a
-                z, c, _ = b
-                return z == x and c == aw
+                return transcript_mask(w)
             if q == _INTRO_IW[w] and r == _SW[w]:
-                return b == a[0]
-            if q in (_INTRO_IWS[w], _INTRO_IWE[w]) and r in (
-                _SW[_OTHER[w]],
-                _EW[_OTHER[w]],
-            ):
-                return b == a[2]
-        return None
+                # the introspected question is the sampled string
+                return equal_mask([x for x, _ in ans_iw], qs_game.answers(r))
+            if q == _INTRO_IW[w]:
+                # (x, a) against (z, c, y): same question and answer
+                return equal_mask(ans_iw, [b[:2] for b in ans_iwq])
+        # (x, a, y) against the other player's sampled or erased string y
+        return equal_mask([a[2] for a in ans_iwq], qs_game.answers(r))
 
-    def decide(q, r, a, b):
+    edge_masks = {}
+    for q, r in _intro_edges():
+        mask = edge_mask(q, r)
+        edge_masks[(q, r)] = mask
+        edge_masks[(r, q)] = _transposed(mask)
+    for mask in edge_masks.values():
+        mask.flags.writeable = False
+
+    def rule(q, r):
+        if q in qs_set and r in qs_set:
+            return qs_game.rule(q, r)
         if q == r:
-            return a == b
-        if q in qs_set and r in qs_set:
-            return qs_game.decide(q, r, a, b)
-        if (q, r) in edges:
-            res = row_check(q, r, a, b)
-            return True if res is None else res
-        if (r, q) in edges:
-            res = row_check(r, q, b, a)
-            return True if res is None else res
-        return True
-
-    def accept_mask(q, r):
-        if q in qs_set and r in qs_set:
-            return qs_game.accept_mask(q, r)
-        return None
+            return np.eye(len(answers(q)), dtype=bool)
+        return edge_masks.get((q, r))
 
     def pairs():
         yield from qs_game.nontrivial_pairs()
@@ -303,15 +296,7 @@ def introspect(game: Game) -> Game:
             yield (q, r)
             yield (r, q)
 
-    return Game(
-        f"{game.name}.intro",
-        questions,
-        answers,
-        decide,
-        nontrivial,
-        accept_mask=accept_mask,
-        nontrivial_pairs=pairs,
-    )
+    return Game(f"{game.name}.intro", questions, answers, rule, nontrivial_pairs=pairs)
 
 
 def lift_introspection(
@@ -618,94 +603,57 @@ def answer_reduce(
         _validate_time_budget(ctx)
     questions = _ARQuestions(ctx)
     maps = ctx.maps
-    nontrivial_base = game.nontrivial
 
-    def iso_checks(i, p2):
-        """Engaged (position, answer-slot) checks of rows three and four."""
-        out = []
-        for slot, j in enumerate(p2):
-            if maps.eta_inv(i) == j:
-                out.append(slot)
-        return out
-
-    def iso_checks_second(i, p2):
-        out = []
-        for slot, j in enumerate(p2):
-            if maps.lam_inv(i) == j:
-                out.append(slot)
-        return out
-
-    def row234(q1, q2, a1, a2):
-        """Ordered match: q1 = (ora pair, single index), q2 per rows 2-4."""
+    def row_mask(q1, q2):
+        """Rows 2-4 for q1 = (game question, single index), or None."""
         g1, i = q1
         g2, p2 = q2
-        if g1[0] != "ora" or not isinstance(i, int):
+        if g1[0] != "ora" or not isinstance(p2, tuple):
             return None
         x, y = g1[1], g1[2]
-        if not nontrivial_base(x, y):
-            return None
-        if g2 == g1 and isinstance(p2, tuple) and len(p2) == 3:
-            if i not in p2:
+        if g2 == g1 and len(p2) == 3:
+            # row 2: the triple is consistent, repeats bit i and satisfies
+            # the clauses of the decider's tableau over its indices
+            if i not in p2 or not game.nontrivial(x, y):
                 return None
-            assign = {}
-            for var, bit in zip(p2, a2):
-                if assign.setdefault(var, bit) != bit:
-                    return False
-            if assign[i] != a1:
-                return False
-            found = ctx.clauses(x, y, *p2)
-            for clause in found or ():
-                if not any(
-                    (assign[abs(lit)] == 1) == (lit > 0) for lit in clause
-                ):
-                    return False
-            return True
-        if g2[0] == "iso" and isinstance(p2, tuple) and len(p2) == 2:
-            if g2[1] == x:
-                slots = iso_checks(i, p2)
-                if g2[1] == y:
-                    slots = slots + iso_checks_second(i, p2)
-            elif g2[1] == y:
-                slots = iso_checks_second(i, p2)
-            else:
+            found = ctx.clauses(x, y, *p2) or ()
+            mask = np.zeros((len(_AR_ANS1), len(_AR_ANS3)), dtype=bool)
+            for k, a2 in enumerate(_AR_ANS3):
+                assign = {}
+                if any(assign.setdefault(var, bit) != bit for var, bit in zip(p2, a2)):
+                    continue
+                mask[_AR_ANS1.index(assign[i]), k] = all(
+                    any((assign[abs(lit)] == 1) == (lit > 0) for lit in clause)
+                    for clause in found
+                )
+            return mask
+        if g2[0] == "iso" and len(p2) == 2:
+            # rows 3-4: slots of the isolated query that read bit i of the
+            # oracle proof must repeat it
+            z = g2[1]
+            slots = [
+                s
+                for s, j in enumerate(p2)
+                if (z == x and maps.eta_inv(i) == j) or (z == y and maps.lam_inv(i) == j)
+            ]
+            if not slots or not game.nontrivial(x, y):
                 return None
-            if not slots:
-                return None
-            return all(a2[s] == a1 for s in slots)
+            return np.array(
+                [[all(a2[s] == a1 for s in slots) for a2 in _AR_ANS2] for a1 in _AR_ANS1],
+                dtype=bool,
+            )
         return None
 
-    def decide(q1, q2, a1, a2):
+    def rule(q1, q2):
         if q1 == q2:
-            return a1 == a2
-        res = row234(q1, q2, a1, a2)
-        if res is None:
-            res = row234(q2, q1, a2, a1)
-        return True if res is None else res
-
-    def nontrivial(q1, q2):
-        if q1 == q2:
-            return True
-
-        def match(qa, qb):
-            g1, i = qa
-            g2, p2 = qb
-            if g1[0] != "ora" or not isinstance(i, int):
-                return False
-            x, y = g1[1], g1[2]
-            if not nontrivial_base(x, y):
-                return False
-            if g2 == g1 and isinstance(p2, tuple) and len(p2) == 3:
-                return i in p2
-            if g2[0] == "iso" and isinstance(p2, tuple) and len(p2) == 2:
-                slots = []
-                if g2[1] == x:
-                    slots += iso_checks(i, p2)
-                if g2[1] == y:
-                    slots += iso_checks_second(i, p2)
-                return bool(slots)
-            return False
-
-        return match(q1, q2) or match(q2, q1)
+            return np.eye(len(_ar_answers(q1)), dtype=bool)
+        # rows 2-4 pair a single proof index with an index pair or triple;
+        # most sampled pairs have none and leave here
+        if isinstance(q1[1], int):
+            return row_mask(q1, q2)
+        if isinstance(q2[1], int):
+            return _transposed(row_mask(q2, q1))
+        return None
 
     def refuse_pairs():
         cost = ctx.L**3 * (ctx.n_base + ctx.n_base**2) ** 2
@@ -714,14 +662,7 @@ def answer_reduce(
             f" (budget {EXACT_EVAL_BUDGET:.0e}); use sampled_value"
         )
 
-    out = Game(
-        f"{game.name}.ans",
-        questions,
-        _ar_answers,
-        decide,
-        nontrivial,
-        nontrivial_pairs=refuse_pairs,
-    )
+    out = Game(f"{game.name}.ans", questions, _ar_answers, rule, nontrivial_pairs=refuse_pairs)
     out.ar_context = ctx
     return out
 

@@ -65,3 +65,41 @@ def random_contraction_set(dim: int, outcomes: int, rng) -> Measurement:
         u = haar_unitary(dim, rng)
         elements.append(u @ ((v * np.sqrt(w)) @ v.conj().T))
     return Measurement(povm.labels, elements, kind="general")
+
+
+def engaged_rows(game, count: int, rng) -> list:
+    """Seeded nontrivial question pairs of an answer-reduced game.
+
+    Cycles through three row families: ``diagonal`` (a question against
+    itself), ``proof_clause`` (row 2: an oracle question with index i
+    against the same oracle pair with a triple containing i) and
+    ``oracle_isolated`` (rows 3-4: an oracle question with index i against
+    an isolated query one of whose slots reads the same proof bit).  Each
+    off-diagonal pair is swapped with probability 1/2, so both argument
+    orders of the rule are exercised.
+    """
+    ctx = game.ar_context
+    L, T = ctx.L, ctx.T
+    pairs = [(x, y) for x, y in ctx.game.nontrivial_pairs() if x != y]
+    n = len(game.questions)
+    rows = []
+    for k in range(count):
+        if k % 3 == 0:
+            q = game.questions[int(rng.integers(0, n))]
+            rows.append((q, q))
+            continue
+        x, y = pairs[int(rng.integers(0, len(pairs)))]
+        ora = ("ora", x, y)
+        i = int(rng.integers(1, L + 1))
+        if k % 3 == 1:
+            triple = [int(v) for v in rng.integers(1, L + 1, size=3)]
+            triple[int(rng.integers(0, 3))] = i
+            q1, q2 = (ora, i), (ora, tuple(triple))
+        else:
+            i = int(rng.integers(1, 2 * T + 1))
+            iso, slot = (("iso", x), i) if i <= T else (("iso", y), i - T)
+            other = int(rng.integers(1, L + 1))
+            p2 = (slot, other) if rng.random() < 0.5 else (other, slot)
+            q1, q2 = (ora, i), (iso, p2)
+        rows.append((q1, q2) if rng.random() < 0.5 else (q2, q1))
+    return rows

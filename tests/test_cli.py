@@ -35,6 +35,18 @@ def read(path):
         return fh.read()
 
 
+def incomplete_strategy(strategy, tmp_path):
+    """Honest Magic Square strategy file without the first "r1" projector."""
+    doc = json.loads(read(strategy))
+    zero = [[0.0] * 4 for _ in range(4)]
+    # drop the first answer of "r1": a rank-one projector, so the
+    # correlations of r1 carry mass 3/4
+    doc["measurements"]['"r1"'][0] = {"dim": 4, "re": zero, "im": zero}
+    broken = tmp_path / "incomplete.json"
+    broken.write_text(dumps(doc))
+    return broken
+
+
 class TestGameShow:
     def test_document_round_trips(self, ms_files):
         game, _ = ms_files
@@ -82,18 +94,24 @@ class TestEval:
 
     def test_sampled_incomplete_strategy_is_validation_error(self, ms_files, tmp_path, capsys):
         game, strategy = ms_files
-        doc = json.loads(read(strategy))
-        zero = [[0.0] * 4 for _ in range(4)]
-        # drop the first answer of "r1": a rank-one projector, so the
-        # correlations of r1 carry mass 3/4
-        doc["measurements"]['"r1"'][0] = {"dim": 4, "re": zero, "im": zero}
-        broken = tmp_path / "incomplete.json"
-        broken.write_text(dumps(doc))
+        broken = incomplete_strategy(strategy, tmp_path)
         rc = run(
             ["eval", "--game", str(game), "--strategy", str(broken), "--sample", "2000", "--seed", "1"]
         )
         assert rc == 1
         assert "not normalized" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_incomplete_strategy_rejected_on_load(self, ms_files, tmp_path, capsys, seed):
+        # 20 samples at these seeds draw no nontrivial pair with "r1", so
+        # only the check on loading can see the missing projector
+        game, strategy = ms_files
+        broken = incomplete_strategy(strategy, tmp_path)
+        rc = run(
+            ["eval", "--game", str(game), "--strategy", str(broken), "--sample", "20", "--seed", seed]
+        )
+        assert rc == 1
+        assert 'question "r1"' in capsys.readouterr().err
 
     def test_verbs_back_to_back_share_no_state(self, ms_files, tmp_path):
         game, strategy = ms_files

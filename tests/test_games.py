@@ -128,13 +128,8 @@ class TestSynchronicity:
         assert is_synchronous(game)
 
     def test_violating_game(self):
-        bad = Game(
-            "bad",
-            ["x"],
-            lambda x: (0, 1),
-            lambda x, y, a, b: True,
-            lambda x, y: True,
-        )
+        # every answer pair wins, the diagonal included
+        bad = Game("bad", ["x"], lambda x: (0, 1), lambda x, y: np.ones((2, 2), dtype=bool))
         assert not is_synchronous(bad)
 
     def test_question_sampling(self):
@@ -218,6 +213,8 @@ class TestTwoOfN:
                 b = answers_y[int(rng.integers(0, len(answers_y)))]
                 assert game.decide(x, y, a, b) == game.decide(y, x, b, a), game.name
                 assert game.nontrivial(x, y) == game.nontrivial(y, x), game.name
+                mask = game.accept_mask(x, y)
+                assert np.array_equal(game.accept_mask(y, x), mask.T), game.name
 
 
 class TestQuestionSampling:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from syncgames.algebra import closeness
-from syncgames.builtins import magic_square, two_of_n_ms
+from syncgames.builtins import (
+    consistency_game,
+    forbidden_pair_game,
+    magic_square,
+    question_sampling,
+    two_of_n_ms,
+)
 from syncgames.cli import run
 from syncgames.cooklevin import compile_cnf, equality_machine
 from syncgames.games import value
@@ -27,7 +33,9 @@ from syncgames.serialize import (
     strategy_from_doc,
     strategy_to_doc,
 )
+from syncgames.optimize import perturb_strategy
 from syncgames.rigidity import ms_residuals
+from syncgames.transform import introspect, lift_introspection, lift_oracularize, oracularize
 
 from helpers import random_povm, rng_for
 
@@ -211,6 +219,72 @@ class TestReports:
         _, strategy = magic_square()
         doc = json.loads(dumps(residuals_to_doc(ms_residuals(strategy))))
         assert set(doc) == {"relations", "max_residual", "value_deficit"}
+
+
+def perturbed(game, strategy, lazy=True):
+    """Perturbation at magnitude 0.05 and seed 7, in the game's question
+    order for lazily built strategies and in the table's order otherwise."""
+    return perturb_strategy(strategy, 0.05, 7, list(game.questions) if lazy else None)
+
+
+def _pinned_magic_square():
+    game, honest = magic_square()
+    return game, perturbed(game, honest, lazy=False)
+
+
+def _pinned_perturbed(make):
+    def build():
+        game, honest = make()
+        return game, perturbed(game, honest)
+
+    return build
+
+
+def _pinned_lift(transform, lift, make):
+    def build():
+        base, honest = make()
+        game = transform(base)
+        return game, perturbed(game, lift(base, honest))
+
+    return build
+
+
+# sha256 of dumps(report_to_doc(value(game, strategy))); exact evaluation
+# and the report format must keep these bytes
+PINNED_REPORTS = {
+    "magic_square": (
+        _pinned_magic_square,
+        "0a2440eecd99c996bbb0d98910d6180dadd7c0cf87ef57742b2498a64ae70c53",
+    ),
+    "forbidden_pair_2_honest": (
+        lambda: forbidden_pair_game(2),
+        "b052320f97353c311cb2623b6c65c31a76606d1bbc1cca82efb0ef4c27e8f13b",
+    ),
+    "two_of_2_ms": (
+        _pinned_perturbed(lambda: two_of_n_ms(2)),
+        "eb15e201b4e24c4ba26cc486082a13c2fbb508ba601647db736d448ecfe5ec53",
+    ),
+    "question_sampling_2": (
+        _pinned_perturbed(lambda: question_sampling(2)),
+        "01dcecc19dd65a76f1c4cbd7cb85797d7025a673dba45ff830ec7d769ba23749",
+    ),
+    "magic_square.orac": (
+        _pinned_lift(oracularize, lift_oracularize, magic_square),
+        "be85661c7134b4b868c7a74c38b023292dbfa3b331139d5d5ac0c41aa5bc55a6",
+    ),
+    "consistency_2.intro": (
+        _pinned_lift(introspect, lift_introspection, lambda: consistency_game(2)),
+        "80702186e78897b6cc41d7e7d70dd2b38dc55acb8d87147d3a130f7cd6aff8a1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_report_digest(name):
+    build, digest = PINNED_REPORTS[name]
+    game, strategy = build()
+    text = dumps(report_to_doc(value(game, strategy)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDimacsAndMachines:

@@ -1,5 +1,7 @@
 """Oracularization, introspection, answer reduction, gapless compression."""
 
+import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -36,7 +38,31 @@ from syncgames.transform import (
     synthesize_tm_decider,
 )
 
-from helpers import rng_for
+from helpers import engaged_rows, rng_for
+
+
+@functools.cache
+def reduced_games() -> dict:
+    """The answer-reduced games whose engaged-row masks are pinned."""
+    return {
+        "consistency_2.ans": answer_reduce(consistency_game(2)[0], 4),
+        "forbidden_pair_2.ans": answer_reduce(forbidden_pair_game(2)[0], 4),
+        "consistency_2.intro.ans": gapless_compress(consistency_game(2)[0], 8),
+    }
+
+
+@functools.cache
+def reduced_rows(name: str) -> list:
+    return engaged_rows(reduced_games()[name], 60, rng_for("armask", name))
+
+
+# sha256 of the concatenated np.packbits(accept_mask(q1, q2)) over
+# reduced_rows(name)
+PINNED_MASKS = {
+    "consistency_2.ans": "8ab23b105490bbc65ec805559ed574ae748c114984e077d18e7406979d0ad2a0",
+    "forbidden_pair_2.ans": "d1f8985f6ce1ec5e7de092d067fbd3c2eb79a573a408d5ca08da207b61872591",
+    "consistency_2.intro.ans": "e501025893efe009411fedae9a33afaf9d6d78c9c237d287f960683c7c0eac8e",
+}
 
 
 def single_question_game():
@@ -68,7 +94,7 @@ class TestOracularize:
     def test_rejects_non_synchronous(self):
         from syncgames.games import Game
 
-        bad = Game("bad", ["x"], lambda x: (0, 1), lambda *a: True, lambda *a: True)
+        bad = Game("bad", ["x"], lambda x: (0, 1), lambda x, y: np.ones((2, 2), dtype=bool))
         with pytest.raises(ValueError):
             oracularize(bad)
 
@@ -131,18 +157,27 @@ class TestIntrospect:
         base, _ = forbidden_pair_game(2)
         reduced = answer_reduce(base, 4)
         rng = rng_for("trsymm", 0)
+
+        def check(game, x, y):
+            ax = game.answers(x)
+            ay = game.answers(y)
+            a = ax[int(rng.integers(0, len(ax)))]
+            b = ay[int(rng.integers(0, len(ay)))]
+            assert game.decide(x, y, a, b) == game.decide(y, x, b, a)
+            assert game.nontrivial(x, y) == game.nontrivial(y, x)
+            assert np.array_equal(game.accept_mask(y, x), game.accept_mask(x, y).T)
+
         for game in (introspect(base), oracularize(base), reduced):
             qs = game.questions
             n = len(qs)
             for _ in range(400):
                 x = qs[int(rng.integers(0, n))]
                 y = qs[int(rng.integers(0, n))]
-                ax = game.answers(x)
-                ay = game.answers(y)
-                a = ax[int(rng.integers(0, len(ax)))]
-                b = ay[int(rng.integers(0, len(ay)))]
-                assert game.decide(x, y, a, b) == game.decide(y, x, b, a)
-                assert game.nontrivial(x, y) == game.nontrivial(y, x)
+                check(game, x, y)
+        # engaged rows of the reduced games, which uniform draws miss
+        for name, game in reduced_games().items():
+            for x, y in reduced_rows(name):
+                check(game, x, y)
 
     def test_pair_iterator_agrees_with_predicate(self):
         base, _ = forbidden_pair_game(2)
@@ -202,8 +237,8 @@ class TestLiftIntrospection:
             "clash",
             list(questions),
             lambda x: (0, 1),
-            lambda x, y, a, b: a == b if x == y else True,
-            lambda x, y: True,  # everything nontrivial, commuting required
+            # everything nontrivial, commuting required; only the diagonal rejects
+            lambda x, y: np.eye(2, dtype=bool) if x == y else np.ones((2, 2), dtype=bool),
         )
         zb = Measurement((0, 1), [np.diag([1.0, 0j]), np.diag([0j, 1.0])], "projective")
         xb = Measurement(
@@ -320,6 +355,15 @@ class TestAnswerReduce:
         for a1 in reduced.answers(q1):
             for a2 in reduced.answers(q2):
                 assert reduced.decide(q1, q2, a1, a2)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_MASKS))
+    def test_engaged_masks_pinned(self, name):
+        game = reduced_games()[name]
+        digest = hashlib.sha256()
+        for q1, q2 in reduced_rows(name):
+            assert game.nontrivial(q1, q2)
+            digest.update(np.packbits(game.accept_mask(q1, q2)).tobytes())
+        assert digest.hexdigest() == PINNED_MASKS[name]
 
     def test_budget_guard(self):
         game, strategy = trivial_game(2)
