@@ -4,7 +4,11 @@ A game is a question set, per-question answer labels and one pair rule;
 the question distribution is always uniform.  The rule maps a question
 pair (x, y) to its boolean accept mask over answers(x) x answers(y), or to
 None when every answer pair wins (a trivial pair); the nontrivial test,
-the accept mask and the decision predicate are all read off it.  A
+the accept mask and the decision predicate are all read off it.  A game
+may add maybe_nontrivial(xi, yi), which maps arrays of question indices to
+a boolean array that is False only where rule(questions[xi],
+questions[yi]) is None; sampled_value uses it to score the draws that
+cannot be engaged in bulk, without decoding their questions.  A
 synchronous strategy assigns one projective measurement per question on a
 common dimension; correlations are tr(M^x_a M^y_b)/dim.
 Exact evaluation walks only the nontrivial question pairs (trivial pairs
@@ -14,6 +18,7 @@ eigenbasis so each pair costs one d x d unitary product.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -44,6 +49,7 @@ __all__ = [
 ]
 
 
+@functools.cache
 def index_answer_bits(num_answers: int):
     """Fixed-width big-endian index encoding for an answer list."""
     width = max(1, (num_answers - 1).bit_length()) if num_answers > 1 else 0
@@ -74,9 +80,11 @@ class Game:
     None before building anything, since samplers test millions of
     pairs.  Masks are read-only to callers, so a rule may return cached
     arrays.  Optional hooks provide direct nontrivial-pair enumeration
-    (which fixes the pair order of exact evaluation), a Turing-machine
-    decider family (needed by answer reduction), and a per-question
-    binary answer encoding.
+    (which fixes the pair order of exact evaluation), a bulk filter
+    maybe_nontrivial(xi, yi) over arrays of question indices (False only
+    where the rule returns None; it may be True on trivial pairs), a
+    Turing-machine decider family (needed by answer reduction), and a
+    per-question binary answer encoding.
     """
 
     def __init__(
@@ -87,6 +95,7 @@ class Game:
         rule,
         *,
         nontrivial_pairs=None,
+        maybe_nontrivial=None,
         tm_decider=None,
         answer_bits=None,
     ):
@@ -95,6 +104,7 @@ class Game:
         self._answers = answers
         self.rule = rule
         self._nontrivial_pairs = nontrivial_pairs
+        self.maybe_nontrivial = maybe_nontrivial
         self.tm_decider = tm_decider
         self._answer_bits = answer_bits
         self._answer_cache: dict = {}
@@ -403,7 +413,8 @@ def sampled_value(
 
     Draws (x, y) uniformly, then samples an answer pair from the strategy
     correlation tr(M^x_a M^y_b)/dim and scores it against the accept
-    mask.  Deterministic given the seed.
+    mask.  Draws that the game's maybe_nontrivial hook rules out win
+    without being decoded.  Deterministic given the seed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -433,8 +444,12 @@ def sampled_value(
             gram_cache.popitem(last=False)
         return g
 
-    wins = 0
-    for k in range(samples):
+    if game.maybe_nontrivial is None:
+        todo = range(samples)
+    else:
+        todo = np.flatnonzero(game.maybe_nontrivial(xi, yi))
+    wins = samples - len(todo)
+    for k in todo:
         x = game.questions[int(xi[k])]
         y = game.questions[int(yi[k])]
         if not game.nontrivial(x, y):

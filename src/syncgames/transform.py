@@ -59,7 +59,6 @@ __all__ = [
     "lift_answer_reduce",
     "gapless_compress",
     "lift_gapless_compress",
-    "sample_nontrivial_pairs",
     "INTRO_SPECIALS",
 ]
 
@@ -562,6 +561,12 @@ class _ARQuestions:
         for i in range(self._len):
             yield self[i]
 
+    def maybe_nontrivial(self, xi, yi):
+        """Index pairs the rule can engage: the diagonal, or exactly one
+        side asking a single proof index (rows 2-4)."""
+        L, n_proof = self.ctx.L, self.n_proof
+        return (xi == yi) | ((xi % n_proof < L) != (yi % n_proof < L))
+
 
 _AR_ANS1 = (0, 1)
 _AR_ANS2 = tuple(itertools.product((0, 1), repeat=2))
@@ -662,7 +667,10 @@ def answer_reduce(
             f" (budget {EXACT_EVAL_BUDGET:.0e}); use sampled_value"
         )
 
-    out = Game(f"{game.name}.ans", questions, _ar_answers, rule, nontrivial_pairs=refuse_pairs)
+    out = Game(
+        f"{game.name}.ans", questions, _ar_answers, rule,
+        nontrivial_pairs=refuse_pairs, maybe_nontrivial=questions.maybe_nontrivial,
+    )
     out.ar_context = ctx
     return out
 
@@ -818,27 +826,3 @@ def lift_gapless_compress(
         reduced=compressed,
         check_oracularizable=False,
     )
-
-
-def sample_nontrivial_pairs(game: Game, count: int, seed: int):
-    """Deterministic sample of nontrivial pairs of a lazily indexed game.
-
-    Draws uniform question pairs and keeps the nontrivial ones; also
-    steers samples onto the structured rows by pairing a drawn question
-    with itself occasionally.  Intended for spot checks of games whose
-    pair set cannot be enumerated.
-    """
-    rng = np.random.default_rng(seed)
-    n = len(game.questions)
-    out = []
-    tries = 0
-    while len(out) < count and tries < 200 * count:
-        tries += 1
-        q = game.questions[int(rng.integers(0, n))]
-        if rng.random() < 0.25:
-            r = q
-        else:
-            r = game.questions[int(rng.integers(0, n))]
-        if game.nontrivial(q, r):
-            out.append((q, r))
-    return out

@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 
 from syncgames.algebra import Measurement
+from syncgames.games import Game
 from syncgames.optimize import haar_unitary
 
 
@@ -103,3 +104,43 @@ def engaged_rows(game, count: int, rng) -> list:
             q1, q2 = (ora, i), (iso, p2)
         rows.append((q1, q2) if rng.random() < 0.5 else (q2, q1))
     return rows
+
+
+def rebuilt_game(game, maybe_nontrivial=None):
+    """The game rebuilt from its questions, answers and rule alone, with an
+    optional maybe_nontrivial hook; ``engaged`` counts the nontrivial
+    calls that return True, as a sampler makes them."""
+    out = Game(
+        game.name, game.questions, game.answers, game.rule,
+        maybe_nontrivial=maybe_nontrivial,
+    )
+    out.engaged = 0
+    nontrivial = out.nontrivial
+
+    def counted(x, y):
+        hit = nontrivial(x, y)
+        out.engaged += hit
+        return hit
+
+    out.nontrivial = counted
+    return out
+
+
+def question_index(game, q) -> int:
+    """Index of q in an answer-reduced game's question space (the inverse
+    of ``game.questions[idx]``)."""
+    ctx = game.ar_context
+    n, L = ctx.n_base, ctx.L
+    base = list(ctx.base_questions)
+    g, p = q
+    if g[0] == "iso":
+        g_idx = base.index(g[1])
+    else:
+        g_idx = n + base.index(g[1]) * n + base.index(g[2])
+    if isinstance(p, int):
+        p_idx = p - 1
+    elif len(p) == 2:
+        p_idx = L + (p[0] - 1) * L + (p[1] - 1)
+    else:
+        p_idx = L + L * L + ((p[0] - 1) * L + (p[1] - 1)) * L + (p[2] - 1)
+    return g_idx * (L + L * L + L**3) + p_idx

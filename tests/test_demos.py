@@ -1,7 +1,8 @@
 """Smoke test: the quick demos run to completion.
 
-Demos 05 (compression pipeline) and 06 (see-saw) are left out for their
-run time; test_transform and test_optimize cover what they run.
+Demo 06 (see-saw) is left out for its run time; test_optimize covers
+what it runs.  Demo 05 runs the sampler on a 1.9e14-question compressed
+game in a few seconds.
 """
 
 import os
@@ -17,6 +18,7 @@ QUICK_DEMOS = (
     "02_rigidity_perturbation.py",
     "03_question_sampling.py",
     "04_cook_levin.py",
+    "05_compression_pipeline.py",
     "07_ncpo.py",
 )
 

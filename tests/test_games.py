@@ -26,9 +26,9 @@ from syncgames.games import (
     Game,
     SynchronousStrategy,
 )
-from syncgames.optimize import haar_unitary
+from syncgames.optimize import haar_unitary, perturb_strategy
 
-from helpers import rng_for
+from helpers import rebuilt_game, rng_for
 
 
 def deterministic_strategy(game, assignment):
@@ -120,6 +120,27 @@ class TestSampledValue:
         a = sampled_value(game, strategy, 500, seed=5)
         b = sampled_value(game, strategy, 500, seed=5)
         assert a == b
+
+    def test_maybe_nontrivial_hook_bit_identical(self):
+        """An exact or a looser maybe_nontrivial table, diagonal included,
+        leaves estimates and engaged draws as on the per-sample path."""
+        game, honest = magic_square()
+        qs = list(game.questions)
+        exact = np.array([[game.nontrivial(x, y) for y in qs] for x in qs])
+        assert exact.diagonal().all() and not exact.all()
+        loose = exact | (rng_for("msloose").random(exact.shape) < 0.3)
+        assignment = {v: 0 for v in MS_QUESTIONS if v.startswith("s")}
+        assignment.update({e: (0, 0, 0) for e in MS_EQUATIONS})
+        lossy = (perturb_strategy(honest, 0.3, 7), deterministic_strategy(game, assignment))
+        for strategy in (honest, *lossy):
+            for seed in (1, 2, 3):
+                ref = rebuilt_game(game)
+                expected = sampled_value(ref, strategy, 3000, seed)
+                assert strategy is honest or expected[0] < 1.0
+                for table in (exact, loose):
+                    hooked = rebuilt_game(game, lambda xi, yi, t=table: t[xi, yi])
+                    assert sampled_value(hooked, strategy, 3000, seed) == expected
+                    assert hooked.engaged == ref.engaged
 
 
 class TestSynchronicity:

@@ -23,6 +23,7 @@ from syncgames.games import (
     value,
 )
 from syncgames.algebra import DEFAULT_TOL
+from syncgames.optimize import haar_unitary
 from syncgames.transform import (
     BudgetError,
     IndexMaps,
@@ -38,7 +39,7 @@ from syncgames.transform import (
     synthesize_tm_decider,
 )
 
-from helpers import engaged_rows, rng_for
+from helpers import engaged_rows, question_index, rebuilt_game, rng_for
 
 
 @functools.cache
@@ -63,6 +64,31 @@ PINNED_MASKS = {
     "forbidden_pair_2.ans": "d1f8985f6ce1ec5e7de092d067fbd3c2eb79a573a408d5ca08da207b61872591",
     "consistency_2.intro.ans": "e501025893efe009411fedae9a33afaf9d6d78c9c237d287f960683c7c0eac8e",
 }
+
+
+def reduced_lift(name: str, strategy):
+    """Honest lift of a base strategy onto reduced_games()[name]."""
+    game = reduced_games()[name]
+    if hasattr(game, "intro_game"):
+        return lift_gapless_compress(consistency_game(2)[0], strategy, 8, compressed=game)
+    ctx = game.ar_context
+    return lift_answer_reduce(ctx.game, strategy, ctx.T, reduced=game)
+
+
+def index_pairs(game, rng, count: int) -> np.ndarray:
+    """Question index pairs of an answer-reduced game: uniform ones, then
+    ones whose sides both ask a single proof index, then ones whose sides
+    both ask an index pair or triple; in the last two, every other pair
+    shares its game question."""
+    qs = game.questions
+    n_proof, L = qs.n_proof, game.ar_context.L
+    n_game = len(qs) // n_proof
+    out = [rng.integers(0, len(qs), size=(count, 2))]
+    for lo, hi in ((0, L), (L, n_proof)):
+        g = rng.integers(0, n_game, size=(count, 2))
+        g[::2, 1] = g[::2, 0]
+        out.append(g * n_proof + rng.integers(lo, hi, size=(count, 2)))
+    return np.concatenate(out)
 
 
 def single_question_game():
@@ -390,16 +416,43 @@ class TestAnswerReduce:
         reduced = answer_reduce(game, 4)
         assert is_synchronous(reduced, max_questions=60)
 
-    def test_sample_nontrivial_pairs_helper(self):
-        from syncgames.transform import sample_nontrivial_pairs
+    @pytest.mark.parametrize("name", sorted(PINNED_MASKS))
+    def test_maybe_nontrivial_contract(self, name):
+        """The index-level hook is True on every engaged row, in both
+        argument orders, False only where the rule returns None, and False
+        on nearly every uniform draw, which is what it is for."""
+        game = reduced_games()[name]
+        qs = game.questions
+        rows = reduced_rows(name)
+        idx = np.array([[question_index(game, q) for q in row] for row in rows])
+        for row, (i, j) in zip(rows, idx):
+            assert (qs[int(i)], qs[int(j)]) == row
+        assert game.maybe_nontrivial(idx[:, 0], idx[:, 1]).all()
+        assert game.maybe_nontrivial(idx[:, 1], idx[:, 0]).all()
 
-        game, _ = forbidden_pair_game(2)
-        reduced = answer_reduce(game, 4)
-        sample = sample_nontrivial_pairs(reduced, 20, seed=1)
-        assert sample == sample_nontrivial_pairs(reduced, 20, seed=1)
-        assert len(sample) == 20
-        for q, r in sample:
-            assert reduced.nontrivial(q, r)
+        pairs = index_pairs(game, rng_for("armaybe", name), 10_000)
+        keep = game.maybe_nontrivial(pairs[:, 0], pairs[:, 1])
+        assert (~keep[:10_000]).mean() > 0.99
+        for i, j in pairs[~keep]:
+            assert game.rule(qs[int(i)], qs[int(j)]) is None
+
+    @pytest.mark.parametrize("name", sorted(PINNED_MASKS))
+    def test_hook_estimates_bit_identical(self, name):
+        """The sampler gives the same estimate, and engages the same draws,
+        with the hook as on the game rebuilt without it."""
+        game = reduced_games()[name]
+        make = consistency_game if name.startswith("consistency") else forbidden_pair_game
+        honest = make(2)[1]
+        u = haar_unitary(honest.dim, rng_for("arconj", name))
+        for strategy in (honest, honest.conjugated(u)):
+            lifted = reduced_lift(name, strategy)
+            for seed in (1, 2, 3):
+                ref = rebuilt_game(game)
+                hooked = rebuilt_game(game, game.maybe_nontrivial)
+                expected = sampled_value(ref, lifted, 20_000, seed)
+                assert sampled_value(hooked, lifted, 20_000, seed) == expected
+                assert sampled_value(game, lifted, 20_000, seed) == expected
+                assert hooked.engaged == ref.engaged
 
 
 class TestLiftAnswerReduce:
