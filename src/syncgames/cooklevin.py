@@ -700,18 +700,8 @@ def brute_force_sat(cnf: CNF, cap: int = 24):
     Exhaustive scan (variable 1 most significant); refuses formulas with
     more than cap variables.
     """
-    if cnf.num_vars > cap:
-        raise ValueError(f"{cnf.num_vars} variables exceeds cap {cap}")
-    total = 1 << cnf.num_vars
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        count = min(chunk, total - start)
-        bits = _bit_matrix(start, count, cnf.num_vars)
-        ok = _satisfied_mask(cnf, bits)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return Assignment(tuple(int(b) for b in bits[hits[0]]))
-    return None
+    models = enumerate_models(cnf, cap, limit=1)
+    return models[0] if models else None
 
 
 def enumerate_models(cnf: CNF, cap: int = 24, limit: int | None = None):

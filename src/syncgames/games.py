@@ -11,9 +11,14 @@ questions[yi]) is None; sampled_value uses it to score the draws that
 cannot be engaged in bulk, without decoding their questions.  A
 synchronous strategy assigns one projective measurement per question on a
 common dimension; correlations are tr(M^x_a M^y_b)/dim.
-Exact evaluation walks only the nontrivial question pairs (trivial pairs
-contribute winning mass analytically) and works in a per-question
-eigenbasis so each pair costs one d x d unitary product.
+
+Exact and sampled evaluation read correlations from one place,
+StrategyEvaluator.cross_gram, which works in a per-question eigenbasis so
+each pair costs one d x d unitary product.  Building that eigenbasis
+checks that the measurement is projective within tol and carries the
+game's answer labels.  Exact evaluation walks only the nontrivial question
+pairs (trivial pairs contribute winning mass analytically); sampled
+evaluation draws answer pairs from the same cross-grams.
 """
 
 from __future__ import annotations
@@ -82,9 +87,9 @@ class Game:
     arrays.  Optional hooks provide direct nontrivial-pair enumeration
     (which fixes the pair order of exact evaluation), a bulk filter
     maybe_nontrivial(xi, yi) over arrays of question indices (False only
-    where the rule returns None; it may be True on trivial pairs), a
-    Turing-machine decider family (needed by answer reduction), and a
-    per-question binary answer encoding.
+    where the rule returns None; it may be True on trivial pairs).
+    Question labels must be hashable.  Answers are encoded in binary by
+    their index (index_answer_bits).
     """
 
     def __init__(
@@ -96,8 +101,6 @@ class Game:
         *,
         nontrivial_pairs=None,
         maybe_nontrivial=None,
-        tm_decider=None,
-        answer_bits=None,
     ):
         self.name = name
         self.questions = questions
@@ -105,8 +108,6 @@ class Game:
         self.rule = rule
         self._nontrivial_pairs = nontrivial_pairs
         self.maybe_nontrivial = maybe_nontrivial
-        self.tm_decider = tm_decider
-        self._answer_bits = answer_bits
         self._answer_cache: dict = {}
 
     def __repr__(self):
@@ -125,8 +126,6 @@ class Game:
             if len(self._answer_cache) < 4096:
                 self._answer_cache[x] = out
             return out
-        except TypeError:  # unhashable question label
-            return tuple(self._answers(x))
 
     def nontrivial(self, x, y) -> bool:
         return self.rule(x, y) is not None
@@ -157,18 +156,13 @@ class Game:
                     yield (x, y)
 
     def answer_bits(self, x, a) -> tuple[int, ...]:
-        """Binary encoding of answer a to question x (index-based default)."""
-        if self._answer_bits is not None:
-            return tuple(self._answer_bits(x, a))
+        """Binary encoding of answer a to question x by its index."""
         labels = self.answers(x)
         _, encode = index_answer_bits(len(labels))
         return encode(labels.index(a))
 
     def answer_bit_width(self, x) -> int:
-        labels = self.answers(x)
-        if self._answer_bits is not None:
-            return len(self._answer_bits(x, labels[0]))
-        width, _ = index_answer_bits(len(labels))
+        width, _ = index_answer_bits(len(self.answers(x)))
         return width
 
 
@@ -204,19 +198,16 @@ class SynchronousStrategy:
             m = self._cache.pop(x)
             self._cache[x] = m
             return m
-        except (KeyError, TypeError):
+        except KeyError:
             pass
         m = self._builder(x)
         if m.dim != self.dim:
             raise ValueError(
                 f"measurement for {x!r} has dim {m.dim}, strategy dim {self.dim}"
             )
-        try:
-            self._cache[x] = m
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        except TypeError:
-            pass
+        self._cache[x] = m
+        if len(self._cache) > self._cache_size:
+            self._cache.popitem(last=False)
         return m
 
     def question_labels(self):
@@ -267,7 +258,8 @@ class _EigenForm:
 
     Columns of u are grouped by outcome; group a spans the range of the
     projection for answer a.  Built with a single Hermitian
-    eigendecomposition of sum_a (a_index + 1) M_a.
+    eigendecomposition of sum_a (a_index + 1) M_a, whose eigenvalues must
+    be integers within tol.eps.
     """
 
     __slots__ = ("u", "uh", "starts", "counts")
@@ -283,7 +275,7 @@ class _EigenForm:
             h += (k + 1) * e
         w, v = np.linalg.eigh(h)
         idx = np.rint(w).astype(int)
-        if np.abs(w - idx).max() > 1e-6:
+        if np.abs(w - idx).max() > tol.eps:
             raise ValueError("measurement is not projective within tolerance")
         if idx.min() < 0 or idx.max() > len(m.elements):
             raise ValueError("measurement is not a complete projective family")
@@ -411,9 +403,12 @@ def sampled_value(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the value with binomial standard error.
 
-    Draws (x, y) uniformly, then samples an answer pair from the strategy
-    correlation tr(M^x_a M^y_b)/dim and scores it against the accept
-    mask.  Draws that the game's maybe_nontrivial hook rules out win
+    Draws (x, y) uniformly, then draws an answer pair from the cross-gram
+    tr(M^x_a M^y_b)/dim of the StrategyEvaluator that exact evaluation
+    uses, and scores it against the accept mask.  The strategy must be
+    projective within tol and carry the game's answer labels on every
+    question a draw engages; otherwise the evaluator's ValueError
+    propagates.  Draws that the game's maybe_nontrivial hook rules out win
     without being decoded.  Deterministic given the seed.
     """
     if samples < 1:
@@ -423,26 +418,14 @@ def sampled_value(
     xi = rng.integers(0, n, size=samples)
     yi = rng.integers(0, n, size=samples)
     unif = rng.random(size=samples)
-    gram_cache: OrderedDict = OrderedDict()
+    ev = StrategyEvaluator(game, strategy, tol)
 
-    def gram_for(x, y):
-        key = (x, y)
-        try:
-            g = gram_cache.pop(key)
-            gram_cache[key] = g
-            return g
-        except KeyError:
-            pass
-        mx = strategy.measurement(x)
-        my = strategy.measurement(y)
-        a = np.stack([e.ravel() for e in mx.elements])
-        b = np.stack([e.T.ravel() for e in my.elements])
-        g = (a @ b.T).real / strategy.dim
-        g = np.clip(g, 0.0, None)
-        gram_cache[key] = g
-        if len(gram_cache) > 4096:
-            gram_cache.popitem(last=False)
-        return g
+    @functools.lru_cache(maxsize=4096)
+    def answer_cdf(x, y):
+        """CDF over the flattened answer pairs, column count, accept mask."""
+        gram = ev.cross_gram(x, y)
+        cdf = np.cumsum(gram.ravel())
+        return cdf / cdf[-1], gram.shape[1], game.accept_mask(x, y)
 
     if game.maybe_nontrivial is None:
         todo = range(samples)
@@ -455,16 +438,9 @@ def sampled_value(
         if not game.nontrivial(x, y):
             wins += 1
             continue
-        g = gram_for(x, y)
-        flat = g.ravel()
-        total = flat.sum()
-        if not 0.999999 <= total <= 1.000001:
-            raise ValueError(f"correlation mass {total} not normalized")
-        cdf = np.cumsum(flat) / total
-        pick = int(np.searchsorted(cdf, unif[k], side="right"))
-        pick = min(pick, flat.size - 1)
-        ia, ib = divmod(pick, g.shape[1])
-        if game.accept_mask(x, y)[ia, ib]:
+        cdf, cols, mask = answer_cdf(x, y)
+        ia, ib = divmod(int(np.searchsorted(cdf, unif[k], side="right")), cols)
+        if mask[ia, ib]:
             wins += 1
     est = wins / samples
     stderr = math.sqrt(est * (1.0 - est) / samples)
@@ -551,8 +527,6 @@ def table_game(
     answers: dict,
     nontrivial_pairs: list,
     accept: dict,
-    *,
-    check: bool = True,
 ) -> Game:
     """Tiny explicit game: listed nontrivial pairs with accept-sets.
 
@@ -582,6 +556,6 @@ def table_game(
         return np.array([[(a, b) in ok for b in answers[y]] for a in answers[x]], dtype=bool)
 
     game = Game(name, questions, lambda x: answers[x], rule)
-    if check and not is_synchronous(game):
+    if not is_synchronous(game):
         raise ValueError("table game is not synchronous")
     return game

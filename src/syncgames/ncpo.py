@@ -26,18 +26,13 @@ import json
 from dataclasses import dataclass, field
 
 from .games import Game
+from .serialize import label_key
 
 __all__ = ["NcpoProgram", "game_to_ncpo", "parse_ncpo"]
 
 
-def _canon(label):
-    if isinstance(label, tuple):
-        return [_canon(x) for x in label]
-    return label
-
-
 def _token(label) -> str:
-    text = json.dumps(_canon(label), separators=(",", ":"))
+    text = label_key(label)
     if any(ch.isspace() for ch in text):
         raise ValueError(f"label {label!r} does not tokenize cleanly")
     return text

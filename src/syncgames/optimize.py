@@ -128,17 +128,17 @@ def _greedy_update(coeff) -> list[np.ndarray]:
     return _pairwise_polish(out, coeff)
 
 
-def _pairwise_polish(elements, coeff, rounds: int = 3) -> list[np.ndarray]:
+def _pairwise_polish(elements, coeff) -> list[np.ndarray]:
     """Exact re-split of every answer pair's combined support.
 
     For answers (i, j) the restriction of the objective to their joint
     range is a binary problem, solved exactly by the nonnegative
     eigenspace of the compressed difference; iterating over pairs is
-    monotone coordinate ascent.
+    monotone coordinate ascent, run for three rounds.
     """
     elements = [e.copy() for e in elements]
     m = len(elements)
-    for _ in range(rounds):
+    for _ in range(3):
         for i in range(m):
             for j in range(i + 1, m):
                 joint = elements[i] + elements[j]

@@ -42,6 +42,7 @@ from .games import (
     Game,
     SynchronousStrategy,
     _transposed,
+    index_answer_bits,
     is_oracularizable,
     is_synchronous,
 )
@@ -63,6 +64,7 @@ __all__ = [
 ]
 
 EXACT_EVAL_BUDGET = 10_000_000
+_BUDGET_PAIRS = 64  # decider pairs whose runtime answer_reduce checks
 
 
 class BudgetError(ValueError):
@@ -298,9 +300,7 @@ def introspect(game: Game) -> Game:
     return Game(f"{game.name}.intro", questions, answers, rule, nontrivial_pairs=pairs)
 
 
-def lift_introspection(
-    game: Game, strategy: SynchronousStrategy, *, check_oracularizable: bool = True
-) -> SynchronousStrategy:
+def lift_introspection(game: Game, strategy: SynchronousStrategy) -> SynchronousStrategy:
     """Honest introspection lift over QS_l honest tensor the base strategy.
 
     QS questions act on the sampling register alone; I_W measures S^W to
@@ -310,12 +310,11 @@ def lift_introspection(
     """
     base = list(game.questions)
     l = len(base[0])
-    if check_oracularizable:
-        ok, worst = is_oracularizable(game, strategy)
-        if not ok:
-            raise ValueError(
-                f"strategy is not oracularizable (worst commutator {worst:.3e})"
-            )
+    ok, worst = is_oracularizable(game, strategy)
+    if not ok:
+        raise ValueError(
+            f"strategy is not oracularizable (worst commutator {worst:.3e})"
+        )
     _, qs_honest = question_sampling(l)
     dim_qs = 4**l
     dim = dim_qs * strategy.dim
@@ -430,34 +429,29 @@ def synthesize_tm_decider(game: Game) -> TmDecider:
     projection exists-b D(x, y, a, b) of the winning predicate on the
     encoded bits of the first answer; trivial pairs get the always-accept
     machine.  All machines are padded to one common state count so the
-    Cook-Levin variable count is pair-independent.
+    Cook-Levin variable count is pair-independent.  Pairs with the same
+    projection share one machine, built and padded once.
     """
-    machines: dict = {}
-    by_table: dict = {}
+    keys: dict = {}
+    # key None: the always-accept machine of trivial and diagonal pairs
+    by_table: dict = {None: always_accept_machine()}
     for x, y in game.nontrivial_pairs():
         if x == y:
             continue  # diagonal consistency is enforced by the reduced game
-        mask = game.accept_mask(x, y)
-        exists_b = mask.any(axis=1)
-        width = game.answer_bit_width(x)
-        table = {}
-        for bits in itertools.product((0, 1), repeat=width):
-            table[bits] = False
-        for idx, a in enumerate(game.answers(x)):
-            table[tuple(game.answer_bits(x, a))] = bool(exists_b[idx])
-        key = (width, tuple(sorted((k, v) for k, v in table.items())))
+        exists_b = game.accept_mask(x, y).any(axis=1)
+        width, encode = index_answer_bits(len(exists_b))
+        key = (width, exists_b.tobytes())
         if key not in by_table:
+            table = dict.fromkeys(itertools.product((0, 1), repeat=width), False)
+            for idx, ok in enumerate(exists_b):
+                table[encode(idx)] = bool(ok)
             by_table[key] = prefix_predicate_machine(table, width)
-        machines[(x, y)] = by_table[key]
-    accept = always_accept_machine()
-    state_count = max(
-        [len(accept.states)] + [len(m.states) for m in by_table.values()]
-    )
-    padded = {pair: pad_states(m, state_count) for pair, m in machines.items()}
-    padded_accept = pad_states(accept, state_count)
+        keys[(x, y)] = key
+    state_count = max(len(m.states) for m in by_table.values())
+    padded = {key: pad_states(m, state_count) for key, m in by_table.items()}
 
     def machine_for(x, y) -> TuringMachine:
-        return padded.get((x, y), padded_accept)
+        return padded[keys.get((x, y))]
 
     return TmDecider(machine_for=machine_for, state_count=state_count)
 
@@ -476,14 +470,7 @@ class _ARContext:
         rep = decider.machine_for(base[0], base[0])
         layout = TableauLayout(rep, T, 2 * T)
         self.L = layout.num_vars
-        self._machines: dict = {}
         self._pi: OrderedDict = OrderedDict()
-
-    def machine(self, x, y) -> TuringMachine:
-        key = (x, y)
-        if key not in self._machines:
-            self._machines[key] = self.decider.machine_for(x, y)
-        return self._machines[key]
 
     def padded_bits(self, x, a) -> tuple[int, ...]:
         bits = tuple(self.game.answer_bits(x, a))
@@ -503,7 +490,7 @@ class _ARContext:
             return val
         except KeyError:
             pass
-        mach = self.machine(x, y)
+        mach = self.decider.machine_for(x, y)
         table = {}
         if self.game.nontrivial(x, y):
             pairs = itertools.product(self.game.answers(x), self.game.answers(y))
@@ -518,7 +505,7 @@ class _ARContext:
         return table
 
     def clauses(self, x, y, j, k, l):
-        return clause_access(self.machine(x, y), self.T, 2 * self.T, j, k, l)
+        return clause_access(self.decider.machine_for(x, y), self.T, 2 * self.T, j, k, l)
 
 
 class _ARQuestions:
@@ -580,13 +567,7 @@ def _ar_answers(q):
     return _AR_ANS2 if len(p) == 2 else _AR_ANS3
 
 
-def answer_reduce(
-    game: Game,
-    T: int,
-    *,
-    decider: TmDecider | None = None,
-    validate: bool = True,
-) -> Game:
+def answer_reduce(game: Game, T: int) -> Game:
     """Answer-reduced game: proofs queried at one to three indices.
 
     Questions pair an oracularized game question with proof indices from
@@ -599,13 +580,8 @@ def answer_reduce(
         raise ValueError("time budget must be positive")
     if not is_synchronous(game, max_questions=256):
         raise ValueError("answer reduction requires a synchronous game")
-    if decider is None:
-        decider = game.tm_decider
-    if decider is None:
-        decider = synthesize_tm_decider(game)
-    ctx = _ARContext(game, T, decider)
-    if validate:
-        _validate_time_budget(ctx)
+    ctx = _ARContext(game, T, synthesize_tm_decider(game))
+    _validate_time_budget(ctx)
     questions = _ARQuestions(ctx)
     maps = ctx.maps
 
@@ -675,8 +651,9 @@ def answer_reduce(
     return out
 
 
-def _validate_time_budget(ctx: _ARContext, pair_cap: int = 64) -> None:
-    """Check T against encoded answer widths and sampled decider runtimes."""
+def _validate_time_budget(ctx: _ARContext) -> None:
+    """Check T against encoded answer widths and the decider runtimes of
+    the first _BUDGET_PAIRS off-diagonal nontrivial pairs."""
     game, T = ctx.game, ctx.T
     for x in ctx.base_questions:
         width = game.answer_bit_width(x)
@@ -689,9 +666,9 @@ def _validate_time_budget(ctx: _ARContext, pair_cap: int = 64) -> None:
         if x == y:
             continue
         count += 1
-        if count > pair_cap:
+        if count > _BUDGET_PAIRS:
             break
-        mach = ctx.machine(x, y)
+        mach = ctx.decider.machine_for(x, y)
         answer_pairs = list(
             itertools.product(game.answers(x), game.answers(y))
         )

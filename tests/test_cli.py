@@ -47,6 +47,18 @@ def incomplete_strategy(strategy, tmp_path):
     return broken
 
 
+def povm_strategy(strategy, tmp_path):
+    """Honest Magic Square strategy file with "s11" measured by (I/2, I/2):
+    complete, but not projective."""
+    doc = json.loads(read(strategy))
+    half = [[0.5 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    zero = [[0.0] * 4 for _ in range(4)]
+    doc["measurements"]['"s11"'] = [{"dim": 4, "re": half, "im": zero}] * 2
+    povm = tmp_path / "povm.json"
+    povm.write_text(dumps(doc))
+    return povm
+
+
 class TestGameShow:
     def test_document_round_trips(self, ms_files):
         game, _ = ms_files
@@ -112,6 +124,14 @@ class TestEval:
         )
         assert rc == 1
         assert 'question "r1"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sample", [[], ["--sample", "2000", "--seed", "1"]])
+    def test_non_projective_strategy_is_validation_error(self, ms_files, tmp_path, capsys, sample):
+        game, strategy = ms_files
+        povm = povm_strategy(strategy, tmp_path)
+        rc = run(["eval", "--game", str(game), "--strategy", str(povm), *sample])
+        assert rc == 1
+        assert "not projective" in capsys.readouterr().err
 
     def test_verbs_back_to_back_share_no_state(self, ms_files, tmp_path):
         game, strategy = ms_files

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncgames.algebra import Measurement, Tolerance, bitstrings, closeness
 from syncgames.builtins import (
@@ -42,6 +44,20 @@ def deterministic_strategy(game, assignment):
         ]
         table[x] = Measurement(labels, elements, kind="projective")
     return SynchronousStrategy(1, table)
+
+
+def mixed_strategy(game, strategy, questions, weight):
+    """strategy with each listed question measured by the POVM
+    (1 - weight) M_a + weight I / k, which is not projective for weight > 0."""
+    table = {x: strategy.measurement(x) for x in game.questions}
+    eye = np.eye(strategy.dim, dtype=complex)
+    for x in questions:
+        m = table[x]
+        k = len(m.elements)
+        table[x] = Measurement(
+            m.labels, [(1 - weight) * e + weight * eye / k for e in m.elements], kind="povm"
+        )
+    return SynchronousStrategy(strategy.dim, table)
 
 
 class TestMagicSquare:
@@ -107,13 +123,39 @@ class TestSampledValue:
         assert est == 1.0 and err == 0.0
 
     def test_matches_exact_within_three_sigma(self):
-        game, _ = magic_square()
+        game, honest = magic_square()
         assignment = {v: 0 for v in MS_QUESTIONS if v.startswith("s")}
         assignment.update({e: (0, 0, 0) for e in MS_EQUATIONS})
-        strategy = deterministic_strategy(game, assignment)
-        exact = value(game, strategy).value
-        est, err = sampled_value(game, strategy, 100_000, seed=11)
-        assert abs(est - exact) <= 3 * err
+        for strategy in (deterministic_strategy(game, assignment), perturb_strategy(honest, 0.3, 7)):
+            exact = value(game, strategy).value
+            est, err = sampled_value(game, strategy, 100_000, seed=11)
+            assert exact < 1.0 and abs(est - exact) <= 3 * err
+
+    def test_non_projective_strategy_rejected(self):
+        game, honest = magic_square()
+        strategy = mixed_strategy(game, honest, ["s11"], 1.0)
+        for evaluate in (value, lambda g, s: sampled_value(g, s, 20_000, seed=1)):
+            with pytest.raises(ValueError, match="not projective"):
+                evaluate(game, strategy)
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(
+        magnitude=st.sampled_from([0.0, 0.05, 0.3]),
+        seed=st.integers(0, 2**16),
+        mixed=st.lists(st.sampled_from(MS_QUESTIONS), max_size=3, unique=True),
+        weight=st.sampled_from([1e-13, 0.01, 0.5, 1.0]),
+    )
+    def test_raises_exactly_when_value_raises(self, magnitude, seed, mixed, weight):
+        game, honest = magic_square()
+        strategy = mixed_strategy(game, perturb_strategy(honest, magnitude, seed), mixed, weight)
+        outcomes = []
+        for evaluate in (value, lambda g, s: sampled_value(g, s, 5000, seed)):
+            try:
+                evaluate(game, strategy)
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_deterministic_given_seed(self):
         game, strategy = magic_square()

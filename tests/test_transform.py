@@ -303,6 +303,29 @@ class TestSynthesizedDeciders:
         sizes.add(len(decider.machine_for((0, 0), (0, 0)).states))
         assert len(sizes) == 1
 
+    # sha256 of the state count, then "x|y|machine_for(x, y).encode()" per
+    # nontrivial pair in enumeration order (computed before machines with
+    # the same projection were shared)
+    DECIDER_DIGESTS = {
+        "consistency": "3fdaa7e1a4237d024002fa1ea10f67cad628d06b617dd6c9594c208e3be74c51",
+        "forbidden_pair": "7ae584ea0e9a41f02a4266279375ca6df0b5082c368d6e84ddcccbe090be4ef5",
+    }
+
+    @pytest.mark.parametrize(
+        "name, make", [("consistency", consistency_game), ("forbidden_pair", forbidden_pair_game)]
+    )
+    def test_introspection_deciders_pinned(self, name, make):
+        game = introspect(make(2)[0])
+        decider = synthesize_tm_decider(game)
+        digest = hashlib.sha256(f"{decider.state_count}\n".encode())
+        encoded = {}
+        for x, y in game.nontrivial_pairs():
+            machine = decider.machine_for(x, y)
+            if id(machine) not in encoded:
+                encoded[id(machine)] = machine.encode()
+            digest.update(f"{x!r}|{y!r}|{encoded[id(machine)]}\n".encode())
+        assert digest.hexdigest() == self.DECIDER_DIGESTS[name]
+
 
 class TestAnswerReduce:
     def test_answer_alphabet(self):
@@ -347,7 +370,7 @@ class TestAnswerReduce:
             q2 = (("ora", x, y), jkl)
             assert reduced.nontrivial(q1, q2)
             if (x, y) not in compiled:
-                compiled[(x, y)] = compile_cnf(ctx.machine(x, y), T, 2 * T)
+                compiled[(x, y)] = compile_cnf(ctx.decider.machine_for(x, y), T, 2 * T)
             cnf = compiled[(x, y)]
             for a1 in reduced.answers(q1):
                 for a2 in reduced.answers(q2):
@@ -515,7 +538,7 @@ class TestLiftAnswerReduce:
             else:
                 a, b = game.answers(x)[0], game.answers(y)[0]
             if (x, y) not in compiled:
-                compiled[(x, y)] = compile_cnf(ctx.machine(x, y), T, 2 * T)
+                compiled[(x, y)] = compile_cnf(ctx.decider.machine_for(x, y), T, 2 * T)
             cnf = compiled[(x, y)]
             _, proof = ctx.proof_table(x, y)[(a, b)]
             expected = 1.0
