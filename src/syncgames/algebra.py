@@ -30,8 +30,6 @@ __all__ = [
     "is_psd",
     "is_projection",
     "is_observable",
-    "commutator_residual",
-    "anticommutator_residual",
 ]
 
 
@@ -326,13 +324,3 @@ def paste(measurements: list[Measurement], tol: Tolerance = DEFAULT_TOL) -> Meas
         out_elements.append(prod @ prod.conj().T)
     povm = Measurement(tuple(out_labels), out_elements, kind="povm")
     return projectivize(povm, tol)
-
-
-def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """||AB - BA||_tau."""
-    return tau_norm(a @ b - b @ a)
-
-
-def anticommutator_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """||AB + BA||_tau."""
-    return tau_norm(a @ b + b @ a)

@@ -17,7 +17,6 @@ from . import rigidity as rg
 from . import serialize as sz
 from . import transform as tr
 from .cooklevin import (
-    brute_force_sat,
     clause_access,
     compile_cnf,
     witness_to_assignment,

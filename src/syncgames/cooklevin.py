@@ -10,10 +10,11 @@ by clauses keyed directly on witness literals.  Every clause has at most
 three distinct variables and is padded to width 3 by repeating its last
 literal, so the output is plain 3SAT.
 
-Clause generation has two modes sharing one constructor per family:
-full enumeration (compile) and constructive matching against a candidate
-variable set (clause_access), which never materializes the formula and
-runs in time independent of the tableau size for a fixed machine.
+Clause generation enumerates each clause family once, keyed on a kind
+of variable that every clause of the family contains.  compile_cnf keys
+on every variable of the kind; clause_access keys on the queried ones
+only, so it never materializes the formula and runs in time independent
+of the tableau size for a fixed machine.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ class TuringMachine:
             for s in SYMBOLS:
                 if self.transition[(halt, s)] != (halt, s, "S"):
                     raise ValueError("accept/reject states must be absorbing")
-
-    @property
-    def description_length(self) -> int:
-        return len(self.encode())
 
     def encode(self) -> str:
         delta = [
@@ -369,79 +366,62 @@ def _w_literal(var: int, bit: int, negate: bool) -> int:
 def _generate_clauses(layout: TableauLayout, only_vars: set[int] | None):
     """Clause stream, optionally restricted to clauses over only_vars.
 
-    With only_vars=None this enumerates the full formula in a fixed
-    documented family order.  With a candidate set it constructs exactly
-    the clauses whose variable set is contained in it, family by family,
-    without touching the rest of the tableau.
+    Every clause of a family contains a variable of one known kind, so each
+    family is enumerated once, over keys(kind): every variable of that kind
+    when compiling (only_vars=None), or only the wanted ones, decoded, for
+    clause_access.  Keys come in variable-index order, so both modes emit in
+    the same fixed family order; want() keeps the clauses whose variables
+    all lie in only_vars, and the restricted stream never touches the rest
+    of the tableau.
     """
     mach, T, R, P = layout.machine, layout.T, layout.R, layout.P
 
     def want(*vs) -> bool:
         return only_vars is None or all(v in only_vars for v in vs)
 
-    infos = None
-    if only_vars is not None:
-        infos = {v: layout.var_info(v) for v in only_vars}
+    wanted = [layout.var_info(v) for v in sorted(only_vars or ())]
 
-    # family A1: step one driven by witness bit 1 (head at cell 0, start state)
-    w1 = 1
-    if only_vars is None or w1 in only_vars:
-        for bit in (0, 1):
-            q2, s2, mv = mach.transition[(mach.start, bit)]
-            for conseq in (
-                layout.sym(1, 0, s2),
-                layout.state(1, q2),
-                layout.head(1, layout.clamp(0, mv)),
-            ):
-                if want(w1, conseq):
-                    yield _clause(_w_literal(w1, bit, negate=True), conseq)
+    def keys(kind: str) -> list[tuple]:
+        """Variables of one kind as var_info tuples, in index order."""
+        if only_vars is not None:
+            return [info for info in wanted if info[0] == kind]
+        if kind == "w":
+            return [("w", v) for v in range(1, R + 1)]
+        times = range(1, T if kind == "hp" else T + 1)
+        if kind == "head":
+            return [("head", t, pos) for t in times for pos in range(P)]
+        if kind == "state":
+            return [("state", t, q) for t in times for q in mach.states]
+        return [(kind, t, pos, s) for t in times for pos in range(P) for s in SYMBOLS]
 
-    # family A2: untouched witness cells persist to t=1
-    if only_vars is None:
-        cells = range(1, R)
-    else:
-        cells = sorted(
-            {
-                info[1] - 1
-                for v, info in infos.items()
-                if info[0] == "w" and 2 <= info[1] <= R
-            }
-            | {
-                info[2]
-                for v, info in infos.items()
-                if info[0] == "sym" and info[1] == 1 and 1 <= info[2] <= R - 1
-            }
-        )
-    for pos in cells:
-        wv = pos + 1
-        for bit in (0, 1):
-            sv = layout.sym(1, pos, bit)
-            if want(wv, sv):
-                yield _clause(_w_literal(wv, bit, negate=True), sv)
-                yield _clause(_w_literal(wv, bit, negate=False), -sv)
+    for _, wv in keys("w"):
+        if wv == 1:
+            # family A1: step one driven by witness bit 1 (head at cell 0, start state)
+            for bit in (0, 1):
+                q2, s2, mv = mach.transition[(mach.start, bit)]
+                for conseq in (
+                    layout.sym(1, 0, s2),
+                    layout.state(1, q2),
+                    layout.head(1, layout.clamp(0, mv)),
+                ):
+                    if want(wv, conseq):
+                        yield _clause(_w_literal(wv, bit, negate=True), conseq)
+        else:
+            # family A2: untouched witness cells persist to t=1
+            for bit in (0, 1):
+                sv = layout.sym(1, wv - 1, bit)
+                if want(wv, sv):
+                    yield _clause(_w_literal(wv, bit, negate=True), sv)
+                    yield _clause(_w_literal(wv, bit, negate=False), -sv)
 
+    syms = keys("sym")
     # family A3: cells blank at t=0 stay blank at t=1 (head cannot reach them)
-    if only_vars is None:
-        blanks = [(1, pos) for pos in range(R, P)]
-    else:
-        blanks = sorted(
-            {
-                (1, info[2])
-                for info in infos.values()
-                if info[0] == "sym" and info[1] == 1 and info[2] >= R and info[3] == BLANK
-            }
-        )
-    for t, pos in blanks:
-        yield _clause(layout.sym(t, pos, BLANK))
+    for _, t, pos, s in syms:
+        if t == 1 and pos >= R and s == BLANK:
+            yield _clause(layout.sym(t, pos, s))
 
     # family B: cell one-hot (pairwise exclusion + at-least-one, width 3)
-    if only_vars is None:
-        cells_b = [(t, pos) for t in range(1, T + 1) for pos in range(P)]
-    else:
-        cells_b = sorted(
-            {(info[1], info[2]) for info in infos.values() if info[0] == "sym"}
-        )
-    for t, pos in cells_b:
+    for t, pos in dict.fromkeys((t, pos) for _, t, pos, _ in syms):
         v = [layout.sym(t, pos, s) for s in SYMBOLS]
         for i, j in itertools.combinations(range(3), 2):
             if want(v[i], v[j]):
@@ -449,66 +429,19 @@ def _generate_clauses(layout: TableauLayout, only_vars: set[int] | None):
         if want(*v):
             yield _clause(v[0], v[1], v[2])
 
-    # family C: at most one head position per time step
-    if only_vars is None:
-        for t in range(1, T + 1):
-            for p1, p2 in itertools.combinations(range(P), 2):
-                yield _clause(-layout.head(t, p1), -layout.head(t, p2))
-    else:
-        by_t: dict[int, list[int]] = {}
-        for info in infos.values():
-            if info[0] == "head":
-                by_t.setdefault(info[1], []).append(info[2])
-        for t in sorted(by_t):
-            for p1, p2 in itertools.combinations(sorted(set(by_t[t])), 2):
-                yield _clause(-layout.head(t, p1), -layout.head(t, p2))
+    # families C and D: at most one head position, and one state, per time step
+    for kind in ("head", "state"):
+        var = getattr(layout, kind)
+        by_t: dict[int, list] = {}
+        for _, t, x in keys(kind):
+            by_t.setdefault(t, []).append(x)
+        for t, xs in by_t.items():
+            for x1, x2 in itertools.combinations(xs, 2):
+                yield _clause(-var(t, x1), -var(t, x2))
 
-    # family D: at most one state per time step
-    if only_vars is None:
-        for t in range(1, T + 1):
-            for q1, q2 in itertools.combinations(range(layout.Q), 2):
-                yield _clause(-layout.state(t, mach.states[q1]), -layout.state(t, mach.states[q2]))
-    else:
-        by_t = {}
-        for info in infos.values():
-            if info[0] == "state":
-                by_t.setdefault(info[1], []).append(layout._state_index[info[2]])
-        for t in sorted(by_t):
-            for q1, q2 in itertools.combinations(sorted(set(by_t[t])), 2):
-                yield _clause(-layout.state(t, mach.states[q1]), -layout.state(t, mach.states[q2]))
-
+    hps = keys("hp")
     # family E: hp[t,pos,s] = head[t,pos] AND sym[t,pos,s]
-    if only_vars is None:
-        cells_e = [
-            (t, pos, s)
-            for t in range(1, T)
-            for pos in range(P)
-            for s in SYMBOLS
-        ]
-    else:
-        cells_e = sorted(
-            {
-                (info[1], info[2], _SYM_INDEX[info[3]])
-                for info in infos.values()
-                if info[0] == "hp"
-            }
-            | {
-                (info[1], info[2], _SYM_INDEX[info[3]])
-                for info in infos.values()
-                if info[0] == "sym" and info[1] < T
-            }
-            | {
-                (info[1], info[2], si)
-                for info in infos.values()
-                if info[0] == "head" and info[1] < T
-                for si in range(3)
-            },
-            key=lambda c: (c[0], c[1], c[2]),
-        )
-        cells_e = [(t, pos, SYMBOLS[si]) for t, pos, si in cells_e]
-    if only_vars is None:
-        cells_e = [(t, pos, s) for (t, pos, s) in cells_e]
-    for t, pos, s in cells_e:
+    for _, t, pos, s in hps:
         h, sv, hpv = layout.head(t, pos), layout.sym(t, pos, s), layout.hp(t, pos, s)
         if want(hpv, h):
             yield _clause(-hpv, h)
@@ -518,66 +451,28 @@ def _generate_clauses(layout: TableauLayout, only_vars: set[int] | None):
             yield _clause(-h, -sv, hpv)
 
     # family F: symbols persist where the head is absent
-    if only_vars is None:
-        cells_f = [
-            (t, pos, s)
-            for t in range(1, T)
-            for pos in range(P)
-            for s in SYMBOLS
-        ]
-    else:
-        cand = set()
-        for info in infos.values():
-            if info[0] == "head" and info[1] < T:
-                for s in SYMBOLS:
-                    cand.add((info[1], info[2], s))
-            elif info[0] == "sym":
-                if info[1] < T:
-                    cand.add((info[1], info[2], info[3]))
-                if info[1] > 1:
-                    cand.add((info[1] - 1, info[2], info[3]))
-        cells_f = sorted(cand, key=lambda c: (c[0], c[1], _SYM_INDEX[c[2]]))
-    for t, pos, s in cells_f:
-        trio = (layout.head(t, pos), layout.sym(t, pos, s), layout.sym(t + 1, pos, s))
-        if want(*trio):
-            yield _clause(trio[0], -trio[1], trio[2])
+    for _, t, pos, s in syms:
+        if t < T:
+            trio = (layout.head(t, pos), layout.sym(t, pos, s), layout.sym(t + 1, pos, s))
+            if want(*trio):
+                yield _clause(trio[0], -trio[1], trio[2])
 
-    # family G: transition firing, keyed on state and hp
-    if only_vars is None:
-        fires = [
-            (t, q, s, pos)
-            for t in range(1, T)
-            for q in mach.states
-            for s in SYMBOLS
-            for pos in range(P)
-        ]
-    else:
-        state_vars = [
-            (info[1], info[2]) for info in infos.values() if info[0] == "state"
-        ]
-        hp_vars = [
-            (info[1], info[2], info[3]) for info in infos.values() if info[0] == "hp"
-        ]
-        fires = sorted(
-            {
-                (t, q, s, pos)
-                for (t, q) in state_vars
-                if t < T
-                for (t2, pos, s) in hp_vars
-                if t2 == t
-            },
-            key=lambda f: (f[0], layout._state_index[f[1]], _SYM_INDEX[f[2]], f[3]),
-        )
-    for t, q, s, pos in fires:
-        q2, s2, mv = mach.transition[(q, s)]
-        sv, hv = layout.state(t, q), layout.hp(t, pos, s)
-        for conseq in (
-            layout.sym(t + 1, pos, s2),
-            layout.state(t + 1, q2),
-            layout.head(t + 1, layout.clamp(pos, mv)),
-        ):
-            if want(sv, hv, conseq):
-                yield _clause(-sv, -hv, conseq)
+    # family G: transition firing, keyed on state and hp, in (t, q, s, pos) order
+    hp_at: dict[tuple, list[int]] = {}
+    for _, t, pos, s in hps:
+        hp_at.setdefault((t, s), []).append(pos)
+    for _, t, q in keys("state"):
+        for s in SYMBOLS:
+            q2, s2, mv = mach.transition[(q, s)]
+            for pos in hp_at.get((t, s), ()):
+                sv, hv = layout.state(t, q), layout.hp(t, pos, s)
+                for conseq in (
+                    layout.sym(t + 1, pos, s2),
+                    layout.state(t + 1, q2),
+                    layout.head(t + 1, layout.clamp(pos, mv)),
+                ):
+                    if want(sv, hv, conseq):
+                        yield _clause(-sv, -hv, conseq)
 
     # family H: the run accepts by time T
     acc = layout.state(T, mach.accept)
@@ -607,14 +502,7 @@ def clause_access(machine: TuringMachine, T: int, R: int, i: int, j: int, k: int
     for v in (i, j, k):
         if not 1 <= v <= layout.num_vars:
             raise IndexError(f"variable {v} out of range 1..{layout.num_vars}")
-    wanted = {i, j, k}
-    seen = set()
-    out = []
-    for clause in _generate_clauses(layout, wanted):
-        if clause not in seen:
-            seen.add(clause)
-            out.append(clause)
-    return out or None
+    return list(dict.fromkeys(_generate_clauses(layout, {i, j, k}))) or None
 
 
 def _assignment_from_rows(layout: TableauLayout, rows) -> Assignment:

@@ -30,14 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - always present in the test env
-    import contextlib
-
-    def threadpool_limits(*args, **kwargs):
-        return contextlib.nullcontext()
-
 from .algebra import DEFAULT_TOL, Measurement, Tolerance
 
 __all__ = [
@@ -375,10 +367,7 @@ def value(game: Game, strategy: SynchronousStrategy, tol: Tolerance = DEFAULT_TO
     n = game.question_count()
     ev = StrategyEvaluator(game, strategy, tol)
     pairs = list(game.nontrivial_pairs())
-    # one BLAS thread: the per-pair matrices are small enough that
-    # BLAS-internal threading only adds synchronization cost
-    with threadpool_limits(limits=1, user_api="blas"):
-        probs = [ev.win_probability(x, y) for x, y in pairs]
+    probs = [ev.win_probability(x, y) for x, y in pairs]
 
     per_pair = dict(zip(pairs, probs))
     trivial_count = n * n - len(pairs)
@@ -486,9 +475,8 @@ def is_oracularizable(
         idxs = np.linspace(0, len(pairs) - 1, max_pairs).astype(int)
         pairs = [pairs[int(i)] for i in idxs]
     worst = 0.0
-    with threadpool_limits(limits=1, user_api="blas"):
-        for x, y in pairs:
-            worst = max(worst, ev.worst_commutator(x, y))
+    for x, y in pairs:
+        worst = max(worst, ev.worst_commutator(x, y))
     return worst <= tol.eps, worst
 
 

@@ -12,13 +12,12 @@ synchronous strategies (dimension-1 projective assignments).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Measurement, Tolerance, DEFAULT_TOL, tau_norm
-from .games import Game, StrategyEvaluator, SynchronousStrategy, value
+from .algebra import Measurement, tau_norm
+from .games import Game, SynchronousStrategy, value
 
 __all__ = [
     "SeesawConfig",

@@ -139,12 +139,19 @@ def _designated(game: Game, x, y):
     return game.answers(x)[0], game.answers(y)[0]
 
 
+def _require_oracularizable(game: Game, strategy: SynchronousStrategy) -> None:
+    ok, worst = is_oracularizable(game, strategy)
+    if not ok:
+        raise ValueError(f"strategy is not oracularizable (worst commutator {worst:.3e})")
+
+
 def lift_oracularize(game: Game, strategy: SynchronousStrategy) -> SynchronousStrategy:
     """Simultaneous-measurement lift: oracle pairs measure M^x then M^y.
 
     Requires an oracularizable strategy; on base-trivial pairs the oracle
     player deterministically reports a designated answer.
     """
+    _require_oracularizable(game, strategy)
 
     def build(q):
         if q[0] == "iso":
@@ -310,11 +317,7 @@ def lift_introspection(game: Game, strategy: SynchronousStrategy) -> Synchronous
     """
     base = list(game.questions)
     l = len(base[0])
-    ok, worst = is_oracularizable(game, strategy)
-    if not ok:
-        raise ValueError(
-            f"strategy is not oracularizable (worst commutator {worst:.3e})"
-        )
+    _require_oracularizable(game, strategy)
     _, qs_honest = question_sampling(l)
     dim_qs = 4**l
     dim = dim_qs * strategy.dim
@@ -699,11 +702,7 @@ def lift_answer_reduce(
     decider context.
     """
     if check_oracularizable:
-        ok, worst = is_oracularizable(game, strategy)
-        if not ok:
-            raise ValueError(
-                f"strategy is not oracularizable (worst commutator {worst:.3e})"
-            )
+        _require_oracularizable(game, strategy)
     if reduced is None:
         reduced = answer_reduce(game, T)
     ctx: _ARContext = reduced.ar_context

@@ -1,5 +1,6 @@
 """Turing simulation, tableau compilation, local clause access, SAT oracles."""
 
+import hashlib
 import itertools
 import time
 
@@ -27,6 +28,27 @@ from syncgames.cooklevin import (
     tableau_assignment,
     witness_to_assignment,
 )
+from syncgames.serialize import cnf_to_dimacs
+
+
+def parity_decider() -> TuringMachine:
+    """3-bit even-parity prefix machine padded to 9 states, as deciders are."""
+    table = {bits: sum(bits) % 2 == 0 for bits in itertools.product((0, 1), repeat=3)}
+    return pad_states(prefix_predicate_machine(table, 3), 9)
+
+
+def clauses_within(cnf: CNF):
+    """triple -> the formula's clauses over its variables, order kept, deduplicated."""
+    by_vars = {}
+    for n, clause in enumerate(cnf.clauses):
+        by_vars.setdefault(frozenset(abs(lit) for lit in clause), []).append((n, clause))
+
+    def within(triple):
+        subsets = (frozenset(sub) for r in (1, 2, 3) for sub in itertools.combinations(set(triple), r))
+        hits = sorted(hit for sub in subsets for hit in by_vars.get(sub, ()))
+        return list(dict.fromkeys(clause for _, clause in hits)) or None
+
+    return within
 
 
 class TestSimulate:
@@ -93,6 +115,19 @@ class TestCompile:
                 acc_var = cnf.layout.state(cnf.layout.T, eq.accept)
                 assert violated == (acc_var, acc_var, acc_var)
 
+    @pytest.mark.parametrize(
+        "machine, T, R, digest",
+        [
+            (equality_machine, 16, 2,
+             "eef8cd5170b1721c8d1d5924392e04ac0f072732742fff1a3e4eaca14c375116"),
+            (parity_decider, 8, 3,
+             "7ba5ae453faeb70621c51ed402cf2c19018475978d2a6d1001e516fa6d08c7c7"),
+        ],
+    )
+    def test_dimacs_digest_pinned(self, machine, T, R, digest):
+        text = cnf_to_dimacs(compile_cnf(machine(), T, R))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_witness_bits_come_first(self):
         m = always_accept_machine()
         asg = witness_to_assignment(m, 2, [1, 0])
@@ -151,6 +186,34 @@ class TestClauseAccess:
             for clause in found or ():
                 assert clause in full
                 assert {abs(l) for l in clause} <= {i, j, k}
+
+    @pytest.mark.parametrize(
+        "machine, T, R",
+        [
+            (always_accept_machine, 2, 2),
+            (always_reject_machine, 3, 1),
+            (equality_machine, 4, 2),
+            (equality_machine, 3, 3),
+            (parity_decider, 4, 3),
+        ],
+    )
+    def test_exact_list_per_triple(self, machine, T, R):
+        # clause_access must return exactly the filtered formula, triple by
+        # triple: same clauses, same order, no duplicates
+        m = machine()
+        cnf = compile_cnf(m, T, R)
+        L = cnf.num_vars
+        rng = np.random.default_rng([T, R, L])
+        triples = [tuple(int(v) for v in rng.integers(1, L + 1, size=3)) for _ in range(300)]
+        triples += [(v, min(v + a, L), min(v + b, L))
+                    for v in range(1, L + 1) for a, b in ((1, 2), (1, 3), (2, 5))]
+        for clause in cnf.clauses:
+            vs = sorted({abs(lit) for lit in clause})
+            triples.append(tuple(vs + [vs[-1]] * (3 - len(vs))))
+            triples.append(tuple(vs + [int(v) for v in rng.integers(1, L + 1, size=3 - len(vs))]))
+        expected = clauses_within(cnf)
+        for triple in triples:
+            assert clause_access(m, T, R, *triple) == expected(triple), triple
 
     def test_determinism_clause_spot_check(self):
         # transition firing at t=1, pos=0: state & hp imply the written symbol

@@ -23,7 +23,7 @@ from syncgames.games import (
     value,
 )
 from syncgames.algebra import DEFAULT_TOL
-from syncgames.optimize import haar_unitary
+from syncgames.optimize import haar_unitary, perturb_strategy
 from syncgames.transform import (
     BudgetError,
     IndexMaps,
@@ -111,6 +111,11 @@ class TestOracularize:
         lifted = lift_oracularize(base, strategy)
         report = value(game, lifted)
         assert report.value == pytest.approx(1.0, abs=1e-10)
+
+    def test_lift_rejects_non_oracularizable(self):
+        base, strategy = magic_square()
+        with pytest.raises(ValueError, match="not oracularizable"):
+            lift_oracularize(base, perturb_strategy(strategy, 0.1, 5))
 
     def test_output_synchronous(self):
         base, _ = magic_square()
