@@ -49,6 +49,7 @@ __all__ = [
 BLANK = "_"
 SYMBOLS = (0, 1, BLANK)
 _SYM_INDEX = {0: 0, 1: 1, BLANK: 2}
+_ONE_HOT = {s: bytes(k == i for k in range(3)) for s, i in _SYM_INDEX.items()}
 MOVES = ("L", "R", "S")
 
 
@@ -506,19 +507,22 @@ def clause_access(machine: TuringMachine, T: int, R: int, i: int, j: int, k: int
 
 
 def _assignment_from_rows(layout: TableauLayout, rows) -> Assignment:
-    mach, T, R, P = layout.machine, layout.T, layout.R, layout.P
-    bits = [0] * layout.num_vars
-    state0, head0, tape0 = rows[0]
-    for r in range(R):
-        bits[r] = 1 if tape0[r] == 1 else 0
+    T, P = layout.T, layout.P
+    bits = bytearray(layout.num_vars)
+    tape0 = rows[0][2]
+    for r in range(layout.R):
+        bits[r] = tape0[r] == 1
+    # offsets within a time step's block, as in TableauLayout
+    head_off, state_off, hp_off = 3 * P, 4 * P, 4 * P + layout.Q
+    state_index = layout._state_index
     for t in range(1, T + 1):
         state, head, tape = rows[t]
-        for pos in range(P):
-            bits[layout.sym(t, pos, tape[pos]) - 1] = 1
-        bits[layout.head(t, head) - 1] = 1
-        bits[layout.state(t, state) - 1] = 1
+        base = layout._base(t)
+        bits[base : base + 3 * P] = b"".join(map(_ONE_HOT.__getitem__, tape))
+        bits[base + head_off + head] = 1
+        bits[base + state_off + state_index[state]] = 1
         if t < T:
-            bits[layout.hp(t, head, tape[head]) - 1] = 1
+            bits[base + hp_off + 3 * head + _SYM_INDEX[tape[head]]] = 1
     return Assignment(tuple(bits))
 
 

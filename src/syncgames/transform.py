@@ -474,18 +474,35 @@ class _ARContext:
         layout = TableauLayout(rep, T, 2 * T)
         self.L = layout.num_vars
         self._pi: OrderedDict = OrderedDict()
+        # (machine, witness) -> (outcome, proof bits); pairs whose deciders
+        # share a machine share their runs
+        self._runs: dict = {}
+        self._codes: dict = {}
+
+    def padded_codes(self, x) -> tuple[tuple[int, ...], ...]:
+        """Encoded answers of x padded to T bits, in answer order."""
+        codes = self._codes.get(x)
+        if codes is None:
+            n = len(self.game.answers(x))
+            width, encode = index_answer_bits(n)
+            if width > self.T:
+                raise ValueError("encoded answer longer than the padding length")
+            pad = (0,) * (self.T - width)
+            codes = self._codes[x] = tuple(encode(k) + pad for k in range(n))
+        return codes
 
     def padded_bits(self, x, a) -> tuple[int, ...]:
-        bits = tuple(self.game.answer_bits(x, a))
-        if len(bits) > self.T:
-            raise ValueError("encoded answer longer than the padding length")
-        return bits + (0,) * (self.T - len(bits))
+        return self.padded_codes(x)[self.game.answers(x).index(a)]
 
     def witness(self, x, y, a, b) -> tuple[int, ...]:
         return self.padded_bits(x, a) + self.padded_bits(y, b)
 
     def proof_table(self, x, y) -> dict:
-        """(a, b) -> (outcome, proof bit tuple) for the run on its witness."""
+        """(a, b) -> (outcome, proof bit tuple) for the run on its witness.
+
+        Each distinct (machine, witness) runs once per context; tables of
+        pairs that share a decider machine hold the same run objects.
+        """
         key = (x, y)
         try:
             val = self._pi.pop(key)
@@ -494,14 +511,22 @@ class _ARContext:
         except KeyError:
             pass
         mach = self.decider.machine_for(x, y)
-        table = {}
+        ans_x, ans_y = self.game.answers(x), self.game.answers(y)
         if self.game.nontrivial(x, y):
-            pairs = itertools.product(self.game.answers(x), self.game.answers(y))
+            pairs = itertools.product(range(len(ans_x)), range(len(ans_y)))
         else:
-            pairs = [_designated(self.game, x, y)]
-        for a, b in pairs:
-            outcome, asg = tableau_assignment(mach, self.T, self.witness(x, y, a, b))
-            table[(a, b)] = (outcome, asg.bits)
+            a0, b0 = _designated(self.game, x, y)
+            pairs = [(ans_x.index(a0), ans_y.index(b0))]
+        codes_x, codes_y = self.padded_codes(x), self.padded_codes(y)
+        runs = self._runs
+        table = {}
+        for i, j in pairs:
+            w = codes_x[i] + codes_y[j]
+            run = runs.get((mach, w))
+            if run is None:
+                outcome, asg = tableau_assignment(mach, self.T, w)
+                run = runs[(mach, w)] = (outcome, asg.bits)
+            table[(ans_x[i], ans_y[j])] = run
         self._pi[key] = table
         if len(self._pi) > 512:
             self._pi.popitem(last=False)

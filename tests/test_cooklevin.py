@@ -31,10 +31,15 @@ from syncgames.cooklevin import (
 from syncgames.serialize import cnf_to_dimacs
 
 
-def parity_decider() -> TuringMachine:
-    """3-bit even-parity prefix machine padded to 9 states, as deciders are."""
+def parity_machine() -> TuringMachine:
+    """3-bit even-parity prefix machine."""
     table = {bits: sum(bits) % 2 == 0 for bits in itertools.product((0, 1), repeat=3)}
-    return pad_states(prefix_predicate_machine(table, 3), 9)
+    return prefix_predicate_machine(table, 3)
+
+
+def parity_decider() -> TuringMachine:
+    """The parity machine padded to 9 states, as deciders are."""
+    return pad_states(parity_machine(), 9)
 
 
 def clauses_within(cnf: CNF):
@@ -281,6 +286,52 @@ class TestAssignments:
     def test_non_accepting_witness_rejected(self):
         with pytest.raises(ValueError):
             witness_to_assignment(equality_machine(), 3, [0, 1])
+
+
+def reference_assignment_from_rows(layout: TableauLayout, rows) -> Assignment:
+    """The per-variable body of cooklevin._assignment_from_rows before its
+    block offsets were hoisted, kept verbatim as the reference."""
+    mach, T, R, P = layout.machine, layout.T, layout.R, layout.P
+    bits = [0] * layout.num_vars
+    state0, head0, tape0 = rows[0]
+    for r in range(R):
+        bits[r] = 1 if tape0[r] == 1 else 0
+    for t in range(1, T + 1):
+        state, head, tape = rows[t]
+        for pos in range(P):
+            bits[layout.sym(t, pos, tape[pos]) - 1] = 1
+        bits[layout.head(t, head) - 1] = 1
+        bits[layout.state(t, state) - 1] = 1
+        if t < T:
+            bits[layout.hp(t, head, tape[head]) - 1] = 1
+    return Assignment(tuple(bits))
+
+
+class TestTableauAssignment:
+    MACHINES = {
+        "equality": equality_machine,
+        "parity": parity_machine,
+        "parity_padded": parity_decider,
+        "equality_padded": lambda: pad_states(equality_machine(), 9),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MACHINES))
+    def test_matches_reference(self, name):
+        """Every witness of length 1..4 at T in {1, 2, 3, 5, 8} gives the
+        reference's bits, as plain ints, on accepting, rejecting and
+        timed-out runs alike."""
+        machine = self.MACHINES[name]()
+        outcomes = set()
+        for T in (1, 2, 3, 5, 8):
+            for n in range(1, 5):
+                layout = TableauLayout(machine, T, n)
+                for w in itertools.product((0, 1), repeat=n):
+                    outcome, assignment = tableau_assignment(machine, T, w)
+                    _, rows = simulate(machine, w, T)
+                    assert assignment == reference_assignment_from_rows(layout, rows)
+                    assert {type(b) for b in assignment.bits} == {int}
+                    outcomes.add(outcome)
+        assert outcomes == {"accept", "reject", "timeout"}
 
 
 class TestBruteForce:

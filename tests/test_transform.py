@@ -13,7 +13,7 @@ from syncgames.builtins import (
     magic_square,
     trivial_game,
 )
-from syncgames.cooklevin import compile_cnf, simulate
+from syncgames.cooklevin import compile_cnf, simulate, tableau_assignment
 from syncgames.games import (
     StrategyEvaluator,
     is_oracularizable,
@@ -63,6 +63,20 @@ PINNED_MASKS = {
     "consistency_2.ans": "8ab23b105490bbc65ec805559ed574ae748c114984e077d18e7406979d0ad2a0",
     "forbidden_pair_2.ans": "d1f8985f6ce1ec5e7de092d067fbd3c2eb79a573a408d5ca08da207b61872591",
     "consistency_2.intro.ans": "e501025893efe009411fedae9a33afaf9d6d78c9c237d287f960683c7c0eac8e",
+}
+
+
+# sha256 of the float64 StrategyEvaluator.win_probability values over
+# reduced_rows(name), for the honest lift ("honest") and for the lift of the
+# honest strategy conjugated by haar_unitary(dim, rng_for("arwin", name))
+# ("conjugated")
+PINNED_WINS = {
+    ("consistency_2.ans", "honest"): "41e09ab16161976ef905e3c39d7c6542759631afa4fff8d624fa0f56be7cf958",
+    ("consistency_2.ans", "conjugated"): "1282b836d619e71054b11578f5201251d80c42ea41677d2514d9494bd842a432",
+    ("consistency_2.intro.ans", "honest"): "34891537aec9f6bb17bce1af6034fba0f640345c34dca565f6fd3cb12b9462b5",
+    ("consistency_2.intro.ans", "conjugated"): "34891537aec9f6bb17bce1af6034fba0f640345c34dca565f6fd3cb12b9462b5",
+    ("forbidden_pair_2.ans", "honest"): "41e09ab16161976ef905e3c39d7c6542759631afa4fff8d624fa0f56be7cf958",
+    ("forbidden_pair_2.ans", "conjugated"): "41e09ab16161976ef905e3c39d7c6542759631afa4fff8d624fa0f56be7cf958",
 }
 
 
@@ -483,7 +497,87 @@ class TestAnswerReduce:
                 assert hooked.engaged == ref.engaged
 
 
+class TestProofRuns:
+    """Proof tables read runs from one dict per context, keyed on the
+    decider machine and the encoded answer pair."""
+
+    @staticmethod
+    def check_fresh(ctx, pairs):
+        """Every entry of the pairs' proof tables equals a fresh run."""
+        game = ctx.game
+        for x, y in pairs:
+            mach = ctx.decider.machine_for(x, y)
+            table = ctx.proof_table(x, y)
+            if game.nontrivial(x, y):
+                assert list(table) == list(itertools.product(game.answers(x), game.answers(y)))
+            else:
+                assert list(table) == [(game.answers(x)[0], game.answers(y)[0])]
+            for (a, b), run in table.items():
+                outcome, assignment = tableau_assignment(mach, ctx.T, ctx.witness(x, y, a, b))
+                assert run == (outcome, assignment.bits)
+
+    @pytest.mark.parametrize("make", [consistency_game, forbidden_pair_game])
+    def test_entries_are_fresh_runs(self, make):
+        game = make(2)[0]
+        ctx = answer_reduce(game, 4).ar_context
+        self.check_fresh(ctx, itertools.product(game.questions, repeat=2))
+
+    def test_compressed_entries_are_fresh_runs(self):
+        """Seeded nontrivial and uniform pairs of the introspection game."""
+        ctx = gapless_compress(consistency_game(2)[0], 8).ar_context
+        intro = ctx.game
+        questions = ctx.base_questions
+        nontrivial = [p for p in intro.nontrivial_pairs() if p[0] != p[1]]
+        rng = rng_for("arruns", 0)
+        pairs = [nontrivial[int(k)] for k in rng.integers(0, len(nontrivial), size=12)]
+        pairs += [
+            (questions[int(i)], questions[int(j)])
+            for i, j in rng.integers(0, len(questions), size=(12, 2))
+        ]
+        self.check_fresh(ctx, pairs)
+
+    def test_shared_machine_shares_run_objects(self):
+        """Pairs with the same machine and encoded answers hold the same run
+        object; distinct (machine, witness) keys hold distinct runs."""
+        game = forbidden_pair_game(2)[0]
+        ctx = answer_reduce(game, 4).ar_context
+        by_key, repeats = {}, 0
+        for x, y in itertools.product(game.questions, repeat=2):
+            mach = ctx.decider.machine_for(x, y)
+            for (a, b), run in ctx.proof_table(x, y).items():
+                key = (id(mach), ctx.witness(x, y, a, b))
+                repeats += key in by_key
+                assert by_key.setdefault(key, run) is run
+        assert repeats > 0  # some key is met by more than one pair
+        assert len({id(run) for run in by_key.values()}) == len(by_key)
+        assert len(ctx._runs) == len(by_key)
+
+    def test_new_build_starts_cold(self):
+        game, strategy = consistency_game(2)
+        for build in (lambda: answer_reduce(game, 4), lambda: gapless_compress(game, 8)):
+            used = build()
+            ctx = used.ar_context
+            x, y = next(p for p in ctx.game.nontrivial_pairs() if p[0] != p[1])
+            ctx.proof_table(x, y)
+            assert ctx._runs
+            fresh = build()
+            assert fresh.ar_context._runs == {}
+            assert len(fresh.ar_context._pi) == 0
+
+
 class TestLiftAnswerReduce:
+    @pytest.mark.parametrize("name, kind", sorted(PINNED_WINS))
+    def test_engaged_win_probabilities_pinned(self, name, kind):
+        make = consistency_game if name.startswith("consistency") else forbidden_pair_game
+        strategy = make(2)[1]
+        if kind == "conjugated":
+            strategy = strategy.conjugated(haar_unitary(strategy.dim, rng_for("arwin", name)))
+        ev = StrategyEvaluator(reduced_games()[name], reduced_lift(name, strategy), DEFAULT_TOL)
+        wins = np.array(
+            [ev.win_probability(q1, q2) for q1, q2 in reduced_rows(name)], dtype=np.float64
+        )
+        assert hashlib.sha256(wins.tobytes()).hexdigest() == PINNED_WINS[(name, kind)]
+
     def test_trivial_base_perfect(self):
         game, strategy = trivial_game(2)
         reduced = answer_reduce(game, 3)
