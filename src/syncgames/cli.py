@@ -128,26 +128,23 @@ def _cmd_transform(args) -> int:
         if args.T is None:
             raise CliError(f"{args.transform} requires --T")
         doc["params"]["T"] = args.T
-    game, _ = sz.game_from_doc(doc)  # validates the transformation
-    _write(sz.dumps(doc), args.out)
     if args.lift:
-        base_game, base_honest = sz.game_from_doc(base_doc)
-        strategy = _load_strategy(args.lift, base_game, base_honest)
-        if args.transform == "oracularize":
-            lifted = tr.lift_oracularize(base_game, strategy)
-        elif args.transform == "introspect":
-            lifted = tr.lift_introspection(base_game, strategy)
-        else:
+        if args.transform not in ("oracularize", "introspect"):
             raise CliError(
                 "lifted strategies over proof-indexed question spaces are too"
                 " large to serialize; --lift supports oracularize/introspect"
             )
         if not args.lift_out:
             raise CliError("--lift requires --lift-out")
-        _write(
-            sz.dumps(sz.strategy_to_doc(lifted, list(game.questions))),
-            args.lift_out,
-        )
+    game, _ = sz.game_from_doc(doc)  # validates the transformation
+    if args.lift:
+        base_game, base_honest = sz.game_from_doc(base_doc)
+        strategy = _load_strategy(args.lift, base_game, base_honest)
+        lift = tr.lift_oracularize if args.transform == "oracularize" else tr.lift_introspection
+        lifted = lift(base_game, strategy)
+    _write(sz.dumps(doc), args.out)
+    if args.lift:
+        _write(sz.dumps(sz.strategy_to_doc(lifted, list(game.questions))), args.lift_out)
     return 0
 
 
@@ -309,7 +306,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, KeyError, IndexError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -147,12 +147,6 @@ class Game:
                 if self.nontrivial(x, y):
                     yield (x, y)
 
-    def answer_bits(self, x, a) -> tuple[int, ...]:
-        """Binary encoding of answer a to question x by its index."""
-        labels = self.answers(x)
-        _, encode = index_answer_bits(len(labels))
-        return encode(labels.index(a))
-
     def answer_bit_width(self, x) -> int:
         width, _ = index_answer_bits(len(self.answers(x)))
         return width

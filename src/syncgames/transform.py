@@ -139,6 +139,20 @@ def _designated(game: Game, x, y):
     return game.answers(x)[0], game.answers(y)[0]
 
 
+def _oracle_terms(game: Game, strategy: SynchronousStrategy, x, y) -> dict:
+    """The oracle player's joint measurement on (x, y): (a, b) -> element.
+
+    On a base-nontrivial pair the elements are M^x_a M^y_b in label order;
+    on a trivial pair the player reports the designated answer pair with
+    the identity and every other pair has no term.
+    """
+    if not game.nontrivial(x, y):
+        return {_designated(game, x, y): np.eye(strategy.dim, dtype=complex)}
+    mx = strategy.measurement(x)
+    my = strategy.measurement(y)
+    return {(a, b): mx.element(a) @ my.element(b) for a in mx.labels for b in my.labels}
+
+
 def _require_oracularizable(game: Game, strategy: SynchronousStrategy) -> None:
     ok, worst = is_oracularizable(game, strategy)
     if not ok:
@@ -152,24 +166,17 @@ def lift_oracularize(game: Game, strategy: SynchronousStrategy) -> SynchronousSt
     player deterministically reports a designated answer.
     """
     _require_oracularizable(game, strategy)
+    zero = np.zeros((strategy.dim, strategy.dim), dtype=complex)
 
     def build(q):
         if q[0] == "iso":
             return strategy.measurement(q[1])
         x, y = q[1], q[2]
-        mx = strategy.measurement(x)
-        my = strategy.measurement(y)
-        labels = tuple(itertools.product(mx.labels, my.labels))
-        if game.nontrivial(x, y):
-            elements = [
-                mx.element(a) @ my.element(b) for a, b in labels
-            ]
-        else:
-            a0, b0 = _designated(game, x, y)
-            eye = np.eye(strategy.dim, dtype=complex)
-            zero = np.zeros((strategy.dim, strategy.dim), dtype=complex)
-            elements = [eye if (a, b) == (a0, b0) else zero for a, b in labels]
-        return Measurement(labels, elements, kind="projective")
+        terms = _oracle_terms(game, strategy, x, y)
+        labels = tuple(
+            itertools.product(strategy.measurement(x).labels, strategy.measurement(y).labels)
+        )
+        return Measurement(labels, [terms.get(ab, zero) for ab in labels], kind="projective")
 
     return SynchronousStrategy(strategy.dim, build)
 
@@ -327,9 +334,6 @@ def lift_introspection(game: Game, strategy: SynchronousStrategy) -> Synchronous
     sw = {w: qs_honest.measurement(_SW[w]) for w in ("A", "B")}
     ew = {w: qs_honest.measurement(_EW[w]) for w in ("A", "B")}
 
-    def kron(a, b):
-        return np.kron(a, b)
-
     def build(q):
         for w in ("A", "B"):
             if q == _INTRO_IW[w]:
@@ -338,7 +342,7 @@ def lift_introspection(game: Game, strategy: SynchronousStrategy) -> Synchronous
                     mx = strategy.measurement(x)
                     for a in mx.labels:
                         labels.append((x, a))
-                        elements.append(kron(sw[w].element(x), mx.element(a)))
+                        elements.append(np.kron(sw[w].element(x), mx.element(a)))
                 return Measurement(tuple(labels), elements, kind="projective")
             if q in (_INTRO_IWS[w], _INTRO_IWE[w]):
                 second = sw[_OTHER[w]] if q == _INTRO_IWS[w] else ew[_OTHER[w]]
@@ -349,40 +353,33 @@ def lift_introspection(game: Game, strategy: SynchronousStrategy) -> Synchronous
                         for y in xs:
                             labels.append((x, a, y))
                             elements.append(
-                                kron(
+                                np.kron(
                                     sw[w].element(x) @ second.element(y),
                                     mx.element(a),
                                 )
                             )
                 return Measurement(tuple(labels), elements, kind="projective")
         if q == INTRO_I:
+            samples = {
+                (x, y): sw["A"].element(x) @ sw["B"].element(y) for x in xs for y in xs
+            }
+            terms = {(x, y): _oracle_terms(game, strategy, x, y) for x in xs for y in xs}
             labels, elements = [], []
             for x in xs:
-                mx = strategy.measurement(x)
-                for a in mx.labels:
+                for a in strategy.measurement(x).labels:
                     for y in xs:
-                        my = strategy.measurement(y)
-                        sample = kron(
-                            sw["A"].element(x) @ sw["B"].element(y), eye_s
-                        )
-                        for b in my.labels:
+                        pair_terms = terms[(x, y)]
+                        for b in strategy.measurement(y).labels:
                             labels.append((x, a, y, b))
-                            if game.nontrivial(x, y):
-                                elements.append(
-                                    kron(
-                                        sw["A"].element(x) @ sw["B"].element(y),
-                                        mx.element(a) @ my.element(b),
-                                    )
-                                )
-                            elif (a, b) == _designated(game, x, y):
-                                elements.append(sample)
-                            else:
-                                elements.append(zero)
+                            term = pair_terms.get((a, b))
+                            elements.append(
+                                zero if term is None else np.kron(samples[(x, y)], term)
+                            )
             return Measurement(tuple(labels), elements, kind="projective")
         # Question Sampling question: act on the sampling register alone
         return Measurement(
             qs_honest.measurement(q).labels,
-            [kron(e, eye_s) for e in qs_honest.measurement(q).elements],
+            [np.kron(e, eye_s) for e in qs_honest.measurement(q).elements],
             kind="projective",
         )
 
@@ -716,7 +713,6 @@ def lift_answer_reduce(
     T: int,
     *,
     reduced: Game | None = None,
-    check_oracularizable: bool = True,
 ) -> SynchronousStrategy:
     """Honest lift onto the answer-reduced game, same dimension.
 
@@ -726,68 +722,43 @@ def lift_answer_reduce(
     encoded answer.  Pass the already-built reduced game to share its
     decider context.
     """
-    if check_oracularizable:
-        _require_oracularizable(game, strategy)
+    _require_oracularizable(game, strategy)
     if reduced is None:
         reduced = answer_reduce(game, T)
-    ctx: _ARContext = reduced.ar_context
+    return _lift_reduced(reduced.ar_context, strategy)
+
+
+def _lift_reduced(ctx: _ARContext, strategy: SynchronousStrategy) -> SynchronousStrategy:
+    """The answer-reduction lift of an oracularizable strategy.
+
+    Each question sums the elements of its source measurement (the base
+    measurement of an isolated question, the oracle terms of an oracle
+    pair) into the label of the bits it reads from that element's bit
+    string: the padded encoded answer, or the proof of the answer pair's
+    run.  Indices past a padded answer read 0.
+    """
     dim = strategy.dim
+    zero = np.zeros((dim, dim), dtype=complex)
 
-    def bits_for_iso(x, a, p) -> tuple:
-        padded = ctx.padded_bits(x, a)
-
-        def bit(i):
-            return padded[i - 1] if i <= ctx.T else 0
-
-        if isinstance(p, int):
-            return bit(p)
-        return tuple(bit(i) for i in p)
-
-    def bits_for_proof(proof_bits, p):
-        if isinstance(p, int):
-            return proof_bits[p - 1]
-        return tuple(proof_bits[i - 1] for i in p)
-
-    def processed(m: Measurement, mapping, out_labels) -> Measurement:
-        sums = {lab: None for lab in out_labels}
-        for lab, e in zip(m.labels, m.elements):
-            target = mapping(lab)
-            sums[target] = e if sums[target] is None else sums[target] + e
-        zero = np.zeros((dim, dim), dtype=complex)
-        return Measurement(
-            tuple(out_labels),
-            [zero if sums[lab] is None else sums[lab] for lab in out_labels],
-            kind="projective",
-        )
+    def bit(bits, i):
+        return bits[i - 1] if i <= len(bits) else 0
 
     def build(q):
         g, p = q
-        out_labels = _ar_answers(q)
         if g[0] == "iso":
             x = g[1]
-            base = strategy.measurement(x)
-            return processed(base, lambda a: bits_for_iso(x, a, p), out_labels)
-        x, y = g[1], g[2]
-        proofs = ctx.proof_table(x, y)
-        if ctx.game.nontrivial(x, y):
-            mx = strategy.measurement(x)
-            my = strategy.measurement(y)
-            labels = tuple(itertools.product(mx.labels, my.labels))
-            joint = Measurement(
-                labels,
-                [mx.element(a) @ my.element(b) for a, b in labels],
-                kind="projective",
-            )
+            m = strategy.measurement(x)
+            sources = [(ctx.padded_bits(x, a), e) for a, e in zip(m.labels, m.elements)]
         else:
-            a0b0 = _designated(ctx.game, x, y)
-            joint = Measurement(
-                (a0b0,), [np.eye(dim, dtype=complex)], kind="projective"
-            )
-        return processed(
-            joint,
-            lambda ab: bits_for_proof(proofs[ab][1], p),
-            out_labels,
-        )
+            proofs = ctx.proof_table(g[1], g[2])
+            terms = _oracle_terms(ctx.game, strategy, g[1], g[2])
+            sources = [(proofs[ab][1], e) for ab, e in terms.items()]
+        sums: dict = {}
+        for bits, e in sources:
+            lab = bit(bits, p) if isinstance(p, int) else tuple(bit(bits, i) for i in p)
+            sums[lab] = e if lab not in sums else sums[lab] + e
+        labels = _ar_answers(q)
+        return Measurement(labels, [sums.get(lab, zero) for lab in labels], kind="projective")
 
     return SynchronousStrategy(dim, build, cache_size=1024)
 
@@ -816,14 +787,7 @@ def lift_gapless_compress(
     compressed: Game | None = None,
 ) -> SynchronousStrategy:
     """Compose the introspection and answer-reduction lifts."""
+    lifted_intro = lift_introspection(game, strategy)  # checks oracularizability
     if compressed is None:
         compressed = gapless_compress(game, T)
-    intro = compressed.intro_game
-    lifted_intro = lift_introspection(game, strategy)
-    return lift_answer_reduce(
-        intro,
-        lifted_intro,
-        T,
-        reduced=compressed,
-        check_oracularizable=False,
-    )
+    return _lift_reduced(compressed.ar_context, lifted_intro)

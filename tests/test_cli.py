@@ -200,6 +200,27 @@ class TestTransform:
         lifted = json.loads(read(lift_out))
         assert lifted["dim"] == 32
 
+    @pytest.mark.parametrize(
+        "transform, extra",
+        [("introspect", []), ("answer_reduce", ["--T", "3", "--lift-out", "lift.json"])],
+        ids=["no_lift_out", "answer_reduce"],
+    )
+    def test_refused_lift_writes_nothing(self, tmp_path, capsys, transform, extra):
+        # a lift without --lift-out, or over a proof-indexed question space,
+        # is refused before the game document is written
+        base = tmp_path / "base.json"
+        base.write_text(dumps({"builtin": {"kind": "consistency", "l": 2}}))
+        out = tmp_path / "out.json"
+        extra = [str(tmp_path / a) if a.endswith(".json") else a for a in extra]
+        rc = run(
+            ["transform", "--transform", transform, "--base", str(base), "--out", str(out),
+             "--lift", "honest", *extra]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert not (tmp_path / "lift.json").exists()
+
     def test_answer_reduce_requires_T(self, tmp_path):
         base = tmp_path / "base.json"
         base.write_text(dumps({"builtin": {"kind": "consistency", "l": 2}}))
@@ -276,6 +297,31 @@ class TestCooklevin:
         assert rc == 0
         doc = json.loads(read(out))
         assert doc["bits"][:2] == [1, 0]
+
+
+ACCEPT_MACHINE = machine_to_doc(always_accept_machine())
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            (ACCEPT_MACHINE, ["cooklevin", "clause", "--machine", "{}", "--T", "1", "--R", "1",
+                              "--i", "0", "--j", "1", "--k", "1"]),
+            (5, ["eval", "--game", "{}", "--strategy", "honest"]),
+            ({"builtin": {"kind": "two_of_n_ms", "n": None}},
+             ["eval", "--game", "{}", "--strategy", "honest"]),
+            ({**ACCEPT_MACHINE, "delta": 5},
+             ["cooklevin", "compile", "--machine", "{}", "--T", "1", "--R", "1"]),
+        ],
+        ids=["clause_index_0", "game_number", "builtin_null_n", "machine_delta_number"],
+    )
+    def test_exits_1_with_message(self, tmp_path, capsys, doc, argv):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        rc = run([a.format(path) for a in argv])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestOptimizeCommands:

@@ -276,6 +276,12 @@ PINNED_REPORTS = {
         _pinned_lift(introspect, lift_introspection, lambda: consistency_game(2)),
         "80702186e78897b6cc41d7e7d70dd2b38dc55acb8d87147d3a130f7cd6aff8a1",
     ),
+    # a base with trivial pairs: the transcript question I reports their
+    # designated answers
+    "forbidden_pair_2.intro": (
+        _pinned_lift(introspect, lift_introspection, lambda: forbidden_pair_game(2)),
+        "36c49bc22acc56b8eab0f5e26c5f511417a10ff83e9641c47fc4b11826e7947c",
+    ),
 }
 
 

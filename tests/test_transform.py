@@ -15,14 +15,17 @@ from syncgames.builtins import (
 )
 from syncgames.cooklevin import compile_cnf, simulate, tableau_assignment
 from syncgames.games import (
+    Game,
     StrategyEvaluator,
+    SynchronousStrategy,
+    index_answer_bits,
     is_oracularizable,
     is_synchronous,
     sampled_value,
     table_game,
     value,
 )
-from syncgames.algebra import DEFAULT_TOL
+from syncgames.algebra import DEFAULT_TOL, Measurement, bitstrings
 from syncgames.optimize import haar_unitary, perturb_strategy
 from syncgames.transform import (
     BudgetError,
@@ -87,6 +90,27 @@ def reduced_lift(name: str, strategy):
         return lift_gapless_compress(consistency_game(2)[0], strategy, 8, compressed=game)
     ctx = game.ar_context
     return lift_answer_reduce(ctx.game, strategy, ctx.T, reduced=game)
+
+
+def clash_game():
+    """Game on {0,1}^2 whose off-diagonal pairs are all nontrivial, with a
+    strategy measuring anticommuting bases: never oracularizable."""
+    questions = bitstrings(2)
+    game = Game(
+        "clash",
+        list(questions),
+        lambda x: (0, 1),
+        # everything nontrivial, commuting required; only the diagonal rejects
+        lambda x, y: np.eye(2, dtype=bool) if x == y else np.ones((2, 2), dtype=bool),
+    )
+    zb = Measurement((0, 1), [np.diag([1.0, 0j]), np.diag([0j, 1.0])], "projective")
+    xb = Measurement(
+        (0, 1),
+        [np.full((2, 2), 0.5, dtype=complex), np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)],
+        "projective",
+    )
+    table = {q: (zb if q[0] == 0 else xb) for q in questions}
+    return game, SynchronousStrategy(2, table)
 
 
 def index_pairs(game, rng, count: int) -> np.ndarray:
@@ -271,30 +295,8 @@ class TestLiftIntrospection:
         assert ok, f"worst commutator {worst}"
 
     def test_rejects_non_oracularizable(self):
-        # two anticommuting bases cross-checked for equality never commute
-        import numpy as np
-
-        from syncgames.algebra import Measurement, bitstrings
-        from syncgames.games import Game, SynchronousStrategy
-
-        questions = bitstrings(2)
-        game = Game(
-            "clash",
-            list(questions),
-            lambda x: (0, 1),
-            # everything nontrivial, commuting required; only the diagonal rejects
-            lambda x, y: np.eye(2, dtype=bool) if x == y else np.ones((2, 2), dtype=bool),
-        )
-        zb = Measurement((0, 1), [np.diag([1.0, 0j]), np.diag([0j, 1.0])], "projective")
-        xb = Measurement(
-            (0, 1),
-            [np.full((2, 2), 0.5, dtype=complex), np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)],
-            "projective",
-        )
-        table = {q: (zb if q[0] == 0 else xb) for q in questions}
-        strategy = SynchronousStrategy(2, table)
-        with pytest.raises(ValueError):
-            lift_introspection(game, strategy)
+        with pytest.raises(ValueError, match="not oracularizable"):
+            lift_introspection(*clash_game())
 
 
 class TestSynthesizedDeciders:
@@ -306,8 +308,9 @@ class TestSynthesizedDeciders:
             if x == y:
                 continue
             machine = decider.machine_for(x, y)
-            for a in game.answers(x):
-                bits = list(game.answer_bits(x, a))
+            _, encode = index_answer_bits(len(game.answers(x)))
+            for k, a in enumerate(game.answers(x)):
+                bits = list(encode(k))
                 witness = bits + [0] * (2 * T - len(bits))
                 outcome, _ = simulate(machine, witness, T)
                 expected = any(game.decide(x, y, a, b) for b in game.answers(y))
@@ -578,6 +581,10 @@ class TestLiftAnswerReduce:
         )
         assert hashlib.sha256(wins.tobytes()).hexdigest() == PINNED_WINS[(name, kind)]
 
+    def test_rejects_non_oracularizable(self):
+        with pytest.raises(ValueError, match="not oracularizable"):
+            lift_answer_reduce(*clash_game(), 4)
+
     def test_trivial_base_perfect(self):
         game, strategy = trivial_game(2)
         reduced = answer_reduce(game, 3)
@@ -686,6 +693,10 @@ class TestGaplessCompress:
             labels.update(compressed.answers(qs[int(idx)]))
         assert len(labels) <= 14
         assert is_synchronous(compressed, max_questions=40)
+
+    def test_rejects_non_oracularizable(self):
+        with pytest.raises(ValueError, match="not oracularizable"):
+            lift_gapless_compress(*clash_game(), 8)
 
     def test_value_one_base_compresses_to_one(self):
         game, strategy = consistency_game(2)
