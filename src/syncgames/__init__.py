@@ -52,7 +52,6 @@ from .games import (
     Game,
     SynchronousStrategy,
     is_oracularizable,
-    is_synchronous,
     sampled_value,
     table_game,
     tensor_extend,

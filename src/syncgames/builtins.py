@@ -150,10 +150,10 @@ def _two_of_n_rule(q, r):
 
     A pair is nontrivial when the players share an instance and every
     shared instance carries a nontrivial Magic Square pair; the mask is
-    the product of those pairs' masks over the answer components.
+    the product of those pairs' masks over the answer components.  Both
+    players may hold the same Magic Square question on a shared instance,
+    so the factors include Magic Square diagonals.
     """
-    if q == r:
-        return np.eye(len(_MS_ANSWERS[q[2]]) * len(_MS_ANSWERS[q[3]]), dtype=bool)
     factors = []
     for w in _shared_instances(q, r):
         qpos = 0 if q[0] == w else 1
@@ -234,8 +234,6 @@ def _two_of_n_pairs_iter(n: int):
         pools = [_MS_NONTRIVIAL_PAIRS] * len(shared_slots)
         pools += [MS_QUESTIONS] * (len(q_free) + len(r_free))
         for combo in itertools.product(*pools):
-            q_parts = {0: i, 1: j}
-            r_parts = {0: k, 1: l}
             qv = [None, None]
             rv = [None, None]
             for (qpos, rpos), (xq, xr) in zip(shared_slots, combo):
@@ -339,16 +337,11 @@ def question_sampling(n: int) -> tuple[Game, SynchronousStrategy]:
         return first[:, None] == np.array([s[bit] for s in strings])[None, :]
 
     def rule(q, r):
-        q_base, r_base = q in base_set, r in base_set
-        if q_base and r_base:
-            return _two_of_n_rule(q, r)
-        if q == r:
-            return np.eye(len(strings), dtype=bool)
-        if q_base and r in _QS_SPECIALS:
-            return special_mask(q, r)
-        if r_base and q in _QS_SPECIALS:
+        if q in base_set:
+            return _two_of_n_rule(q, r) if r in base_set else special_mask(q, r)
+        if r in base_set:
             return _transposed(special_mask(r, q))
-        return None
+        return None  # two distinct sampling/erasure questions
 
     def pairs_iter():
         yield from _two_of_n_pairs_iter(n)
@@ -403,7 +396,7 @@ def trivial_game(l: int) -> tuple[Game, SynchronousStrategy]:
         f"trivial_{l}",
         list(questions),
         lambda x: (0,),
-        lambda x, y: np.ones((1, 1), dtype=bool) if x == y else None,
+        lambda x, y: None,
     )
     meas = Measurement((0,), [np.eye(1, dtype=complex)], kind="projective")
     strategy = SynchronousStrategy(1, {q: meas for q in questions})
@@ -440,16 +433,11 @@ def forbidden_pair_game(l: int) -> tuple[Game, SynchronousStrategy]:
     synchronous value is 1 - 2/4^l; the honest dim-1 strategy attains it.
     """
     questions = bitstrings(l)
-    bad = (questions[0], questions[1])
-
-    def rule(x, y):
-        if x == y:
-            return np.eye(2, dtype=bool)
-        if (x, y) == bad or (y, x) == bad:
-            return np.zeros((2, 2), dtype=bool)
-        return None
-
-    game = Game(f"forbidden_pair_{l}", list(questions), lambda x: (0, 1), rule)
+    bad = {questions[0], questions[1]}
+    game = Game(
+        f"forbidden_pair_{l}", list(questions), lambda x: (0, 1),
+        lambda x, y: np.zeros((2, 2), dtype=bool) if {x, y} == bad else None,
+    )
     one = np.eye(1, dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
     meas = Measurement((0, 1), [one, zero], kind="projective")

@@ -96,28 +96,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# rigidity kind -> (builtin game kind, residual audit of a strategy)
+_RIGIDITY = {
+    "ms": ("magic_square", lambda strategy, n: rg.ms_residuals(strategy)),
+    "two_of_n": ("two_of_n_ms", rg.two_of_n_residuals),
+    "qs": ("question_sampling", rg.qs_residuals),
+}
+
+
 def _cmd_rigidity(args) -> int:
-    if args.kind == "ms":
-        from .builtins import magic_square
-
-        game, honest = magic_square()
-        strategy = _load_strategy(args.strategy, game, honest)
-        report = rg.ms_residuals(strategy)
-    elif args.kind == "two_of_n":
-        from .builtins import two_of_n_ms
-
-        game, honest = two_of_n_ms(args.n)
-        strategy = _load_strategy(args.strategy, game, honest)
-        report = rg.two_of_n_residuals(strategy, args.n)
-    elif args.kind == "qs":
-        from .builtins import question_sampling
-
-        game, honest = question_sampling(args.n)
-        strategy = _load_strategy(args.strategy, game, honest)
-        report = rg.qs_residuals(strategy, args.n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown rigidity kind {args.kind}")
-    _write(sz.dumps(sz.residuals_to_doc(report)), args.out)
+    kind, residuals = _RIGIDITY[args.kind]
+    # the builtin document checks --n against its bounds
+    game, honest = sz.game_from_doc({"builtin": {"kind": kind, "n": args.n}})
+    strategy = _load_strategy(args.strategy, game, honest)
+    _write(sz.dumps(sz.residuals_to_doc(residuals(strategy, args.n))), args.out)
     return 0
 
 
@@ -232,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("rigidity", help="residual audit of a strategy")
-    p.add_argument("--kind", required=True, choices=("ms", "two_of_n", "qs"))
+    p.add_argument("--kind", required=True, choices=tuple(_RIGIDITY))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--strategy", default="honest")
     p.add_argument("--out")

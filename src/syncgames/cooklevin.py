@@ -153,7 +153,7 @@ def prefix_predicate_machine(table, width: int) -> TuringMachine:
     table maps each width-bit tuple to a bool.  The machine walks right
     reading one cell per step and branches on a memoized decision tree,
     short-circuiting as soon as the residual predicate is constant, so it
-    halts within width + 1 steps.  Blank cells in the scanned prefix
+    halts within width steps.  Blank cells in the scanned prefix
     reject (satisfying tableau assignments never place blanks there).
     """
     full = tuple(bool(table[bits]) for bits in itertools.product((0, 1), repeat=width))

@@ -2,9 +2,11 @@
 
 A game is a question set, per-question answer labels and one pair rule;
 the question distribution is always uniform.  The rule maps a question
-pair (x, y) to its boolean accept mask over answers(x) x answers(y), or to
-None when every answer pair wins (a trivial pair); the nontrivial test,
-the accept mask and the decision predicate are all read off it.  A game
+pair (x, y) with x != y to its boolean accept mask over answers(x) x
+answers(y), or to None when every answer pair wins (a trivial pair); the
+game itself answers the diagonal (x, x) with the identity mask, so every
+game is synchronous by construction.  The nontrivial test, the accept
+mask and the decision predicate are all read off Game.rule.  A game
 may add maybe_nontrivial(xi, yi), which maps arrays of question indices to
 a boolean array that is False only where rule(questions[xi],
 questions[yi]) is None; sampled_value uses it to score the draws that
@@ -38,7 +40,6 @@ __all__ = [
     "EvaluationReport",
     "value",
     "sampled_value",
-    "is_synchronous",
     "is_oracularizable",
     "tensor_extend",
     "table_game",
@@ -57,6 +58,14 @@ def index_answer_bits(num_answers: int):
     return width, encode
 
 
+@functools.cache
+def _identity(num_answers: int) -> np.ndarray:
+    """Read-only identity mask: on the diagonal only equal answers win."""
+    eye = np.eye(num_answers, dtype=bool)
+    eye.flags.writeable = False
+    return eye
+
+
 def _transposed(mask):
     """Mask of the swapped question pair; None stays None.
 
@@ -71,12 +80,13 @@ class Game:
 
     questions is any indexable sequence (lazily indexed for transformed
     games whose question space is too large to materialize).  answers(x)
-    lists the answer labels of x.  rule(x, y) is called for every ordered
-    pair, the diagonal included, and returns the boolean accept mask over
-    answers(x) x answers(y), or None for a trivial pair; it must return
-    None before building anything, since samplers test millions of
-    pairs.  Masks are read-only to callers, so a rule may return cached
-    arrays.  Optional hooks provide direct nontrivial-pair enumeration
+    lists the answer labels of x.  The pair rule is called for ordered
+    pairs (x, y) with x != y only, and returns the boolean accept mask
+    over answers(x) x answers(y), or None for a trivial pair; it must
+    return None before building anything, since samplers test millions of
+    pairs.  Game.rule answers the diagonal (x, x) itself with a cached
+    identity mask.  Masks are read-only to callers, so a rule may return
+    cached arrays.  Optional hooks provide direct nontrivial-pair enumeration
     (which fixes the pair order of exact evaluation), a bulk filter
     maybe_nontrivial(xi, yi) over arrays of question indices (False only
     where the rule returns None; it may be True on trivial pairs).
@@ -97,7 +107,7 @@ class Game:
         self.name = name
         self.questions = questions
         self._answers = answers
-        self.rule = rule
+        self._rule = rule
         self._nontrivial_pairs = nontrivial_pairs
         self.maybe_nontrivial = maybe_nontrivial
         self._answer_cache: dict = {}
@@ -118,6 +128,13 @@ class Game:
             if len(self._answer_cache) < 4096:
                 self._answer_cache[x] = out
             return out
+
+    def rule(self, x, y):
+        """Accept mask of (x, y), or None when every answer pair wins;
+        the diagonal is the identity without consulting the pair rule."""
+        if x == y:
+            return _identity(len(self.answers(x)))
+        return self._rule(x, y)
 
     def nontrivial(self, x, y) -> bool:
         return self.rule(x, y) is not None
@@ -146,10 +163,6 @@ class Game:
             for y in qs:
                 if self.nontrivial(x, y):
                     yield (x, y)
-
-    def answer_bit_width(self, x) -> int:
-        width, _ = index_answer_bits(len(self.answers(x)))
-        return width
 
 
 class SynchronousStrategy:
@@ -430,26 +443,6 @@ def sampled_value(
     return est, stderr
 
 
-def is_synchronous(game: Game, *, max_questions: int | None = None) -> bool:
-    """Check that every diagonal accept mask is the identity (a = b).
-
-    Exhaustive at desk scale.  For games with more questions than
-    max_questions, a deterministic evenly-spaced subsample of questions is
-    checked instead.
-    """
-    n = game.question_count()
-    if max_questions is not None and n > max_questions:
-        idxs = np.linspace(0, n - 1, max_questions).astype(int)
-    else:
-        idxs = range(n)
-    for i in idxs:
-        x = game.questions[int(i)]
-        eye = np.eye(len(game.answers(x)), dtype=bool)
-        if not np.array_equal(game.accept_mask(x, x), eye):
-            return False
-    return True
-
-
 def is_oracularizable(
     game: Game,
     strategy: SynchronousStrategy,
@@ -513,8 +506,8 @@ def table_game(
     """Tiny explicit game: listed nontrivial pairs with accept-sets.
 
     accept maps each listed ordered pair (x, y) to the accepted answer
-    pairs (a, b); unlisted pairs are trivial.  Diagonal pairs may be
-    omitted; they default to the synchronous condition a = b.
+    pairs (a, b); unlisted pairs are trivial.  Diagonal pairs need not be
+    listed: the game accepts a = b there.
     """
     questions = list(questions)
     answers = {x: tuple(answers[x]) for x in questions}
@@ -528,8 +521,6 @@ def table_game(
         accept_sets.setdefault((y, x), frozenset((b, a) for a, b in pairs))
 
     def rule(x, y):
-        if x == y:
-            return np.eye(len(answers[x]), dtype=bool)
         if (x, y) not in listed:
             return None
         if (x, y) not in accept_sets:
@@ -537,7 +528,4 @@ def table_game(
         ok = accept_sets[(x, y)]
         return np.array([[(a, b) in ok for b in answers[y]] for a in answers[x]], dtype=bool)
 
-    game = Game(name, questions, lambda x: answers[x], rule)
-    if not is_synchronous(game):
-        raise ValueError("table game is not synchronous")
-    return game
+    return Game(name, questions, lambda x: answers[x], rule)

@@ -163,7 +163,6 @@ def seesaw(game: Game, cfg: SeesawConfig):
     questions = list(game.questions)
     best_strategy = None
     best_value = -1.0
-    best_restart = -1
     trace = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
@@ -193,7 +192,6 @@ def seesaw(game: Game, cfg: SeesawConfig):
             current = updated
         if current > best_value + 1e-15:
             best_value = current
-            best_restart = restart
             best_strategy = {x: [e.copy() for e in els] for x, els in meas.items()}
     strategy = SynchronousStrategy(
         cfg.dim,
@@ -267,10 +265,8 @@ def classical_value(game: Game, cap: int = 10**8):
         if score + bound_remaining(k) <= best_score:
             return
         for ai in range(len(answer_sets[k])):
-            a = answer_sets[k][ai]
             gained = 1  # diagonal pair (x, x) always wins deterministically
             for j in range(k):
-                b = answer_sets[j][assignment[j]]
                 gained += int(masks[(k, j)][ai, assignment[j]])
                 gained += int(masks[(j, k)][assignment[j], ai])
             assignment.append(ai)

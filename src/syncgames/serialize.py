@@ -44,14 +44,33 @@ __all__ = [
     "machine_from_doc",
 ]
 
+# kind -> (builder, size field, allowed sizes, default size).  Sizes run
+# from the builder's minimum to a cap that keeps the game and its honest
+# strategy (dimension 4^n for the Magic Square families) at desk scale.
 BUILTIN_GAMES = {
-    "magic_square": lambda doc: magic_square(),
-    "two_of_n_ms": lambda doc: two_of_n_ms(int(doc["n"])),
-    "question_sampling": lambda doc: question_sampling(int(doc["n"])),
-    "trivial": lambda doc: trivial_game(int(doc.get("l", 2))),
-    "consistency": lambda doc: consistency_game(int(doc.get("l", 2))),
-    "forbidden_pair": lambda doc: forbidden_pair_game(int(doc.get("l", 2))),
+    "magic_square": (magic_square, None, None, None),
+    "two_of_n_ms": (two_of_n_ms, "n", range(2, 5), None),
+    "question_sampling": (question_sampling, "n", (2, 4), None),
+    "trivial": (trivial_game, "l", range(0, 9), 2),
+    "consistency": (consistency_game, "l", range(0, 9), 2),
+    "forbidden_pair": (forbidden_pair_game, "l", range(1, 9), 2),
 }
+
+
+def _builtin_game(spec: dict):
+    """Build a builtin game from its document.  The size field must be a
+    JSON integer (not a bool, float or string) that BUILTIN_GAMES allows."""
+    kind = spec["kind"]
+    if kind not in BUILTIN_GAMES:
+        raise ValueError(f"unknown builtin game kind {kind!r}")
+    build, field, allowed, default = BUILTIN_GAMES[kind]
+    if field is None:
+        return build()
+    size = spec.get(field, default)
+    if type(size) is not int or size not in allowed:
+        span = ", ".join(map(str, allowed))
+        raise ValueError(f"{kind} field {field!r} must be an integer in {{{span}}}, got {size!r}")
+    return build(size)
 
 
 _NON_FINITE = "cannot serialize non-finite numbers"
@@ -195,11 +214,7 @@ def game_from_doc(doc: dict):
     recursively.
     """
     if "builtin" in doc:
-        spec = doc["builtin"]
-        kind = spec["kind"]
-        if kind not in BUILTIN_GAMES:
-            raise ValueError(f"unknown builtin game kind {kind!r}")
-        return BUILTIN_GAMES[kind](spec)
+        return _builtin_game(doc["builtin"])
     if "table" in doc:
         spec = doc["table"]
         questions = [_uncanon(q) for q in spec["questions"]]
@@ -218,7 +233,7 @@ def game_from_doc(doc: dict):
     if "transform" in doc:
         from . import transform as tr
 
-        base, base_strategy = game_from_doc(doc["base"])
+        base, _ = game_from_doc(doc["base"])
         params = doc.get("params", {})
         name = doc["transform"]
         if name == "oracularize":

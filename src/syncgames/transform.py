@@ -20,6 +20,7 @@ the ones the answer-reduced game re-imposes through its consistency rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ from .cooklevin import (
     clause_access,
     pad_states,
     prefix_predicate_machine,
-    simulate,
     tableau_assignment,
 )
 from .games import (
@@ -44,7 +44,6 @@ from .games import (
     _transposed,
     index_answer_bits,
     is_oracularizable,
-    is_synchronous,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
 ]
 
 EXACT_EVAL_BUDGET = 10_000_000
-_BUDGET_PAIRS = 64  # decider pairs whose runtime answer_reduce checks
 
 
 class BudgetError(ValueError):
@@ -82,8 +80,6 @@ def oracularize(game: Game) -> Game:
     an oracle player with a pair nontrivial for the base game must win it
     and agree with the isolated player on the shared question.
     """
-    if not is_synchronous(game, max_questions=512):
-        raise ValueError("oracularization requires a synchronous game")
     base = list(game.questions)
     questions = [("iso", x) for x in base] + [
         ("ora", x, y) for x in base for y in base
@@ -115,8 +111,6 @@ def oracularize(game: Game) -> Game:
         return mask
 
     def rule(q, r):
-        if q == r:
-            return np.eye(len(answers(q)), dtype=bool)
         if q[0] == "ora" and r[0] == "iso":
             return oracle_mask(q, r[1])
         if q[0] == "iso" and r[0] == "ora":
@@ -227,8 +221,6 @@ def introspect(game: Game) -> Game:
     l = len(base[0]) if base and isinstance(base[0], tuple) else 0
     if sorted(base) != bitstrings(l) or l < 2 or l % 2:
         raise ValueError("introspection requires questions {0,1}^l, even l >= 2")
-    if not is_synchronous(game, max_questions=512):
-        raise ValueError("introspection requires a synchronous game")
 
     qs_game, _ = question_sampling(l)
     qs_questions = list(qs_game.questions)
@@ -299,8 +291,6 @@ def introspect(game: Game) -> Game:
     def rule(q, r):
         if q in qs_set and r in qs_set:
             return qs_game.rule(q, r)
-        if q == r:
-            return np.eye(len(answers(q)), dtype=bool)
         return edge_masks.get((q, r))
 
     def pairs():
@@ -456,6 +446,15 @@ def synthesize_tm_decider(game: Game) -> TmDecider:
     return TmDecider(machine_for=machine_for, state_count=state_count)
 
 
+@functools.cache
+def _padded_codes(num_answers: int, T: int) -> tuple[tuple[int, ...], ...]:
+    """Index codes of num_answers answers padded to T bits; questions with
+    equal answer counts share them."""
+    width, encode = index_answer_bits(num_answers)
+    pad = (0,) * (T - width)
+    return tuple(encode(k) + pad for k in range(num_answers))
+
+
 class _ARContext:
     """Shared data for an answer-reduced game and its honest lift."""
 
@@ -475,17 +474,25 @@ class _ARContext:
         # share a machine share their runs
         self._runs: dict = {}
         self._codes: dict = {}
+        for x in base:  # the budget check, for every question at build time
+            self.padded_codes(x)
 
     def padded_codes(self, x) -> tuple[tuple[int, ...], ...]:
-        """Encoded answers of x padded to T bits, in answer order."""
+        """Encoded answers of x padded to T bits, in answer order.
+
+        This is the time-budget check of the reduction: a synthesized
+        decider halts within the width of the answer it reads, so its run
+        fits the budget T whenever that width does.
+        """
         codes = self._codes.get(x)
         if codes is None:
             n = len(self.game.answers(x))
-            width, encode = index_answer_bits(n)
+            width, _ = index_answer_bits(n)
             if width > self.T:
-                raise ValueError("encoded answer longer than the padding length")
-            pad = (0,) * (self.T - width)
-            codes = self._codes[x] = tuple(encode(k) + pad for k in range(n))
+                raise ValueError(
+                    f"answers of {x!r} need {width} bits, above the budget T={self.T}"
+                )
+            codes = self._codes[x] = _padded_codes(n, self.T)
         return codes
 
     def padded_bits(self, x, a) -> tuple[int, ...]:
@@ -603,10 +610,7 @@ def answer_reduce(game: Game, T: int) -> Game:
     """
     if T < 1:
         raise ValueError("time budget must be positive")
-    if not is_synchronous(game, max_questions=256):
-        raise ValueError("answer reduction requires a synchronous game")
     ctx = _ARContext(game, T, synthesize_tm_decider(game))
-    _validate_time_budget(ctx)
     questions = _ARQuestions(ctx)
     maps = ctx.maps
 
@@ -651,8 +655,6 @@ def answer_reduce(game: Game, T: int) -> Game:
         return None
 
     def rule(q1, q2):
-        if q1 == q2:
-            return np.eye(len(_ar_answers(q1)), dtype=bool)
         # rows 2-4 pair a single proof index with an index pair or triple;
         # most sampled pairs have none and leave here
         if isinstance(q1[1], int):
@@ -674,37 +676,6 @@ def answer_reduce(game: Game, T: int) -> Game:
     )
     out.ar_context = ctx
     return out
-
-
-def _validate_time_budget(ctx: _ARContext) -> None:
-    """Check T against encoded answer widths and the decider runtimes of
-    the first _BUDGET_PAIRS off-diagonal nontrivial pairs."""
-    game, T = ctx.game, ctx.T
-    for x in ctx.base_questions:
-        width = game.answer_bit_width(x)
-        if width > T:
-            raise ValueError(
-                f"answers of {x!r} need {width} bits, above the budget T={T}"
-            )
-    count = 0
-    for x, y in game.nontrivial_pairs():
-        if x == y:
-            continue
-        count += 1
-        if count > _BUDGET_PAIRS:
-            break
-        mach = ctx.decider.machine_for(x, y)
-        answer_pairs = list(
-            itertools.product(game.answers(x), game.answers(y))
-        )
-        if len(answer_pairs) > 64:
-            answer_pairs = answer_pairs[:: max(1, len(answer_pairs) // 64)]
-        for a, b in answer_pairs:
-            outcome, _ = simulate(mach, ctx.witness(x, y, a, b), T)
-            if outcome == "timeout":
-                raise ValueError(
-                    f"decider for pair ({x!r}, {y!r}) exceeds the budget T={T}"
-                )
 
 
 def lift_answer_reduce(

@@ -144,3 +144,32 @@ def question_index(game, q) -> int:
     else:
         p_idx = L + L * L + ((p[0] - 1) * L + (p[1] - 1)) * L + (p[2] - 1)
     return g_idx * (L + L * L + L**3) + p_idx
+
+
+def assert_synchronous(game, count: int | None = None) -> None:
+    """Game.rule(x, x) is one cached read-only identity mask on every
+    question, or on `count` seeded draws of a lazily indexed game."""
+    qs = game.questions
+    if count is None:
+        picks = range(len(qs))
+    else:
+        picks = rng_for("diagonal", game.name).integers(0, len(qs), size=count)
+    for i in picks:
+        x = qs[int(i)]
+        mask = game.rule(x, x)
+        assert mask.dtype == bool and not mask.flags.writeable, x
+        assert np.array_equal(mask, np.eye(len(game.answers(x)), dtype=bool)), x
+        assert game.rule(x, x) is mask
+
+
+def recording(game, calls: list):
+    """The game with its pair rule wrapped to append each (x, y) it is
+    called with to calls."""
+    rule = game._rule
+
+    def recorded(x, y):
+        calls.append((x, y))
+        return rule(x, y)
+
+    game._rule = recorded
+    return game

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -322,6 +323,57 @@ class TestMalformedInput:
         rc = run([a.format(path) for a in argv])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestBuiltinBounds:
+    """Sizes of builtin games are JSON integers within one table of bounds."""
+
+    @pytest.mark.parametrize(
+        "spec, field, span",
+        [
+            ({"kind": "two_of_n_ms", "n": 2.5}, "'n'", "{2, 3, 4}"),
+            ({"kind": "two_of_n_ms", "n": 2.0}, "'n'", "{2, 3, 4}"),
+            ({"kind": "two_of_n_ms", "n": True}, "'n'", "{2, 3, 4}"),
+            ({"kind": "two_of_n_ms", "n": 100000}, "'n'", "{2, 3, 4}"),
+            ({"kind": "two_of_n_ms"}, "'n'", "{2, 3, 4}"),
+            ({"kind": "question_sampling", "n": 3}, "'n'", "{2, 4}"),
+            ({"kind": "question_sampling", "n": 6}, "'n'", "{2, 4}"),
+            ({"kind": "trivial", "l": "3"}, "'l'", "{0, 1, 2, 3, 4, 5, 6, 7, 8}"),
+            ({"kind": "consistency", "l": 9}, "'l'", "{0, 1, 2, 3, 4, 5, 6, 7, 8}"),
+            ({"kind": "forbidden_pair", "l": 0}, "'l'", "{1, 2, 3, 4, 5, 6, 7, 8}"),
+        ],
+        ids=["float_n", "integral_float_n", "bool_n", "huge_n", "missing_n", "odd_qs_n",
+             "large_qs_n", "string_l", "large_l", "forbidden_pair_l0"],
+    )
+    def test_builtin_document_refused(self, tmp_path, capsys, spec, field, span):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"builtin": spec}))
+        start = time.perf_counter()
+        rc = run(["eval", "--game", str(path), "--strategy", "honest", "--sample", "10",
+                  "--seed", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and span in err, err
+
+    @pytest.mark.parametrize(
+        "kind, n, span", [("two_of_n", 5, "{2, 3, 4}"), ("two_of_n", 1, "{2, 3, 4}"),
+                          ("qs", 3, "{2, 4}")],
+    )
+    def test_rigidity_n_refused(self, capsys, kind, n, span):
+        rc = run(["rigidity", "--kind", kind, "--n", str(n)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'n'" in err and span in err, err
+
+    def test_bounds_admit_the_smallest_games(self, tmp_path):
+        for spec in ({"kind": "trivial", "l": 0}, {"kind": "forbidden_pair", "l": 1},
+                     {"kind": "two_of_n_ms", "n": 2}):
+            path = tmp_path / "game.json"
+            path.write_text(json.dumps({"builtin": spec}))
+            rc = run(["eval", "--game", str(path), "--strategy", "honest", "--sample", "10",
+                      "--seed", "1"])
+            assert rc == 0, spec
 
 
 class TestOptimizeCommands:

@@ -20,7 +20,6 @@ from syncgames.builtins import (
 )
 from syncgames.games import (
     is_oracularizable,
-    is_synchronous,
     sampled_value,
     table_game,
     tensor_extend,
@@ -30,7 +29,7 @@ from syncgames.games import (
 )
 from syncgames.optimize import haar_unitary, perturb_strategy
 
-from helpers import rebuilt_game, rng_for
+from helpers import assert_synchronous, rebuilt_game, recording, rng_for
 
 
 def deterministic_strategy(game, assignment):
@@ -77,7 +76,7 @@ class TestMagicSquare:
 
     def test_honest_is_synchronous_and_oracularizable(self):
         game, strategy = magic_square()
-        assert is_synchronous(game)
+        assert_synchronous(game)
         ok, worst = is_oracularizable(game, strategy)
         assert ok and worst < 1e-12
 
@@ -185,19 +184,40 @@ class TestSampledValue:
                     assert hooked.engaged == ref.engaged
 
 
+BUILTINS = {
+    "trivial_2": lambda: trivial_game(2),
+    "consistency_2": lambda: consistency_game(2),
+    "forbidden_pair_2": lambda: forbidden_pair_game(2),
+    "two_of_2_ms": lambda: two_of_n_ms(2),
+}
+
+
 class TestSynchronicity:
+    """Game answers the diagonal itself, so every game is synchronous."""
+
     def test_magic_square(self):
         game, _ = magic_square()
-        assert is_synchronous(game)
-
-    def test_violating_game(self):
-        # every answer pair wins, the diagonal included
-        bad = Game("bad", ["x"], lambda x: (0, 1), lambda x, y: np.ones((2, 2), dtype=bool))
-        assert not is_synchronous(bad)
+        assert_synchronous(game)
 
     def test_question_sampling(self):
         game, _ = question_sampling(2)
-        assert is_synchronous(game)
+        assert_synchronous(game)
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_builtin(self, name):
+        assert_synchronous(BUILTINS[name]()[0])
+
+    def test_pair_rule_never_sees_the_diagonal(self):
+        calls = []
+        # every answer pair wins, also on the diagonal, were it asked
+        game = recording(
+            Game("lax", ["x", "y"], lambda x: (0, 1), lambda x, y: np.ones((2, 2), dtype=bool)),
+            calls,
+        )
+        assert_synchronous(game)
+        assert not game.decide("x", "x", 0, 1) and game.decide("x", "y", 0, 1)
+        assert list(game.nontrivial_pairs()) == [(q, r) for q in "xy" for r in "xy"]
+        assert calls and all(x != y for x, y in calls)
 
 
 class TestOracularizability:
@@ -254,7 +274,7 @@ class TestTwoOfN:
 
     def test_two_of_three_invariants_sampled(self):
         game, strategy = two_of_n_ms(3)
-        assert is_synchronous(game, max_questions=120)
+        assert_synchronous(game, 120)
         ok, worst = is_oracularizable(game, strategy, max_pairs=120)
         assert ok and worst < 1e-12
 
@@ -416,7 +436,7 @@ class TestTableGame:
             [("x", "y")],
             {("x", "y"): [(0, 0), (1, 1)]},
         )
-        assert is_synchronous(game)
+        assert_synchronous(game)
         assert game.nontrivial("x", "y") and game.nontrivial("y", "x")
         assert game.decide("x", "y", 0, 0)
         assert not game.decide("x", "y", 0, 1)

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used there or re-exported."""
+"""Every name a library module imports is used there or re-exported, and
+every local a library function assigns is read."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,70 @@ def test_checker_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(func):
+    """Nodes of func's body, not descending into nested functions."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list[str]:
+    """Locals a function assigns and neither it nor a nested function
+    reads; names starting with "_" are exempt."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {
+            n.id for n in ast.walk(func)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
+        outer = set()
+        stored = {}
+        for node in _own_nodes(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)  # x += 1 reads x
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+        found += [
+            f"{func.name}: {name} (line {line})"
+            for name, line in stored.items()
+            if name not in read | outer and not name.startswith("_")
+        ]
+    return sorted(found)
+
+
+def test_unused_locals_checker():
+    source = (
+        "def f(x):\n"
+        "    a, b = x\n"             # b is never read
+        "    c = 0\n"
+        "    c += 1\n"               # augmented assignment reads c
+        "    _d = 2\n"               # exempt
+        "    total = 0\n"
+        "    def g():\n"
+        "        nonlocal total\n"
+        "        total = a\n"        # the outer total, read by f below
+        "        e = 3\n"            # g's own unused local
+        "    g()\n"
+        "    return total\n"
+        "def h():\n"
+        "    seen = [k for k in range(3)]\n"
+        "    return len(seen)\n"
+    )
+    assert unused_locals(source) == ["f: b (line 2)", "g: e (line 10)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []

@@ -20,7 +20,6 @@ from syncgames.games import (
     SynchronousStrategy,
     index_answer_bits,
     is_oracularizable,
-    is_synchronous,
     sampled_value,
     table_game,
     value,
@@ -42,7 +41,14 @@ from syncgames.transform import (
     synthesize_tm_decider,
 )
 
-from helpers import engaged_rows, question_index, rebuilt_game, rng_for
+from helpers import (
+    assert_synchronous,
+    engaged_rows,
+    question_index,
+    rebuilt_game,
+    recording,
+    rng_for,
+)
 
 
 @functools.cache
@@ -100,8 +106,8 @@ def clash_game():
         "clash",
         list(questions),
         lambda x: (0, 1),
-        # everything nontrivial, commuting required; only the diagonal rejects
-        lambda x, y: np.eye(2, dtype=bool) if x == y else np.ones((2, 2), dtype=bool),
+        # every off-diagonal pair nontrivial and winning: commuting required
+        lambda x, y: np.ones((2, 2), dtype=bool),
     )
     zb = Measurement((0, 1), [np.diag([1.0, 0j]), np.diag([0j, 1.0])], "projective")
     xb = Measurement(
@@ -158,14 +164,7 @@ class TestOracularize:
     def test_output_synchronous(self):
         base, _ = magic_square()
         game = oracularize(base)
-        assert is_synchronous(game, max_questions=60)
-
-    def test_rejects_non_synchronous(self):
-        from syncgames.games import Game
-
-        bad = Game("bad", ["x"], lambda x: (0, 1), lambda x, y: np.ones((2, 2), dtype=bool))
-        with pytest.raises(ValueError):
-            oracularize(bad)
+        assert_synchronous(game)
 
 
 class TestIntrospect:
@@ -220,7 +219,7 @@ class TestIntrospect:
     def test_output_synchronous(self):
         base, _ = trivial_game(2)
         game = introspect(base)
-        assert is_synchronous(game, max_questions=80)
+        assert_synchronous(game)
 
     def test_decider_symmetry_sampled(self):
         base, _ = forbidden_pair_game(2)
@@ -348,6 +347,76 @@ class TestSynthesizedDeciders:
             digest.update(f"{x!r}|{y!r}|{encoded[id(machine)]}\n".encode())
         assert digest.hexdigest() == self.DECIDER_DIGESTS[name]
 
+    DECIDER_GAMES = {
+        "consistency": lambda: consistency_game(2)[0],
+        "forbidden_pair": lambda: forbidden_pair_game(2)[0],
+        "consistency.intro": lambda: introspect(consistency_game(2)[0]),
+        "forbidden_pair.intro": lambda: introspect(forbidden_pair_game(2)[0]),
+        "magic_square.orac": lambda: oracularize(magic_square()[0]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DECIDER_GAMES))
+    def test_deciders_halt_within_answer_width(self, name):
+        """Every decider halts within the width of the answer it reads, on
+        every input of that width, so an answer width within T bounds its
+        run by T and answer_reduce needs no runtime check."""
+        game = self.DECIDER_GAMES[name]()
+        decider = synthesize_tm_decider(game)
+        machines = {}
+        for x, y in game.nontrivial_pairs():
+            width, _ = index_answer_bits(len(game.answers(x)))
+            machine = decider.machine_for(x, y)
+            machines[(id(machine), width)] = (machine, width)
+        assert len(machines) > 1
+        for machine, width in machines.values():
+            if width == 0:
+                continue
+            for bits in itertools.product((0, 1), repeat=width):
+                for padding in ((0,) * width, (1,) * width):
+                    outcome, _ = simulate(machine, bits + padding, width)
+                    assert outcome != "timeout", (machine.states, bits)
+
+
+class TestSynchronicity:
+    """Transformed games are synchronous by construction: Game.rule answers
+    every diagonal pair itself, so no pair rule sees one."""
+
+    # name -> (build, questions drawn, or None for all of them)
+    TRANSFORMED = {
+        "magic_square.orac": (lambda: oracularize(magic_square()[0]), None),
+        "consistency.orac": (lambda: oracularize(consistency_game(2)[0]), None),
+        "consistency.intro": (lambda: introspect(consistency_game(2)[0]), None),
+        "forbidden_pair.intro": (lambda: introspect(forbidden_pair_game(2)[0]), None),
+        "consistency.ans": (lambda: reduced_games()["consistency_2.ans"], 200),
+        "forbidden_pair.ans": (lambda: reduced_games()["forbidden_pair_2.ans"], 200),
+        "consistency.intro.ans": (lambda: reduced_games()["consistency_2.intro.ans"], 200),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORMED))
+    def test_diagonal_is_read_only_identity(self, name):
+        make, count = self.TRANSFORMED[name]
+        assert_synchronous(make(), count)
+
+    def test_pair_rules_never_see_the_diagonal(self):
+        calls = []
+        base = recording(consistency_game(2)[0], calls)
+        ms, ms_honest = magic_square()
+        recording(ms, calls)
+        # transforms read base masks through Game.rule, the diagonal included
+        orac = recording(oracularize(ms), calls)
+        assert value(orac, lift_oracularize(ms, ms_honest)).value == pytest.approx(1.0)
+        intro = recording(introspect(base), calls)
+        for x, y in intro.nontrivial_pairs():
+            intro.accept_mask(x, y)
+        for reduced in (answer_reduce(base, 4), gapless_compress(base, 8)):
+            recording(reduced, calls)
+            assert_synchronous(reduced, 100)
+            rows = engaged_rows(reduced, 20, rng_for("diagonal-calls", reduced.name))
+            for q1, q2 in rows + [(q1, q1) for q1, _ in rows]:
+                reduced.accept_mask(q1, q2)
+        assert len(calls) > 1000
+        assert all(x != y for x, y in calls)
+
 
 class TestAnswerReduce:
     def test_answer_alphabet(self):
@@ -453,13 +522,27 @@ class TestAnswerReduce:
             [("q", "r")],
             {("q", "r"): [(a, a) for a in range(256)]},
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="above the budget T=2"):
             answer_reduce(big, 2)
+
+    def test_budget_boundary(self):
+        """T must cover the widest encoded answer, and nothing more."""
+        wide = table_game(
+            "five",
+            ["q", "r"],
+            {"q": tuple(range(5)), "r": (0, 1)},  # 5 answers need 3 bits
+            [("q", "r")],
+            {("q", "r"): [(a, a % 2) for a in range(5)]},
+        )
+        reduced = answer_reduce(wide, 3)
+        assert reduced.ar_context.padded_codes("q")[4] == (1, 0, 0)
+        with pytest.raises(ValueError, match=r"answers of 'q' need 3 bits, above the budget T=2"):
+            answer_reduce(wide, 2)
 
     def test_sampled_synchronous(self):
         game, _ = consistency_game(2)
         reduced = answer_reduce(game, 4)
-        assert is_synchronous(reduced, max_questions=60)
+        assert_synchronous(reduced, 60)
 
     @pytest.mark.parametrize("name", sorted(PINNED_MASKS))
     def test_maybe_nontrivial_contract(self, name):
@@ -692,7 +775,7 @@ class TestGaplessCompress:
         for idx in rng.integers(0, len(qs), size=120):
             labels.update(compressed.answers(qs[int(idx)]))
         assert len(labels) <= 14
-        assert is_synchronous(compressed, max_questions=40)
+        assert_synchronous(compressed, 40)
 
     def test_rejects_non_oracularizable(self):
         with pytest.raises(ValueError, match="not oracularizable"):
