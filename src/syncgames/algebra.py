@@ -24,6 +24,7 @@ __all__ = [
     "data_process",
     "binary_to_observable",
     "fourier_observables",
+    "bitstrings",
     "projectivize",
     "paste",
     "is_hermitian",

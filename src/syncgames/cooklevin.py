@@ -39,6 +39,7 @@ __all__ = [
     "check_assignment",
     "brute_force_sat",
     "enumerate_models",
+    "backtrack_models",
     "always_accept_machine",
     "always_reject_machine",
     "equality_machine",

@@ -506,11 +506,15 @@ def table_game(
     """Tiny explicit game: listed nontrivial pairs with accept-sets.
 
     accept maps each listed ordered pair (x, y) to the accepted answer
-    pairs (a, b); unlisted pairs are trivial.  Diagonal pairs need not be
-    listed: the game accepts a = b there.
+    pairs (a, b); unlisted pairs are trivial.  Diagonal pairs are refused:
+    the game accepts exactly a = b there.
     """
     questions = list(questions)
     answers = {x: tuple(answers[x]) for x in questions}
+    nontrivial_pairs = list(nontrivial_pairs)
+    for x, y in nontrivial_pairs + list(accept):
+        if x == y:
+            raise ValueError(f"table lists the diagonal pair {(x, y)!r}; it always accepts a = b")
     listed = set()
     for x, y in nontrivial_pairs:
         listed.add((x, y))

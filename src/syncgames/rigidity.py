@@ -149,25 +149,32 @@ def two_of_n_pair_family(strategy: SynchronousStrategy, n: int) -> ObservablePai
     return ObservablePairFamily(pairs)
 
 
-def two_of_n_residuals(
-    strategy: SynchronousStrategy, n: int, tol: Tolerance = DEFAULT_TOL
-) -> ResidualReport:
-    """2-of-n-MS rigidity audit over the derived instance observables."""
-    family = two_of_n_pair_family(strategy, n).pairs
+def _pair_relations(pairs: list) -> dict:
+    """Residuals of an observable-pair family: each pair anticommutes, and
+    observables of different pairs commute (A-A and B-B for k < l, A-B for
+    k != l)."""
     rel = {}
-    for k, (a, b) in enumerate(family, start=1):
+    for k, (a, b) in enumerate(pairs, start=1):
         rel[f"pair.{k}.anticomm"] = tau_norm(a @ b + b @ a)
-    m = len(family)
+    m = len(pairs)
     for k in range(m):
         for l in range(m):
             if k == l:
                 continue
-            ak, bk = family[k]
-            al, bl = family[l]
+            ak, bk = pairs[k]
+            al, bl = pairs[l]
             if k < l:
                 rel[f"cross.A{k + 1}_A{l + 1}.comm"] = tau_norm(ak @ al - al @ ak)
                 rel[f"cross.B{k + 1}_B{l + 1}.comm"] = tau_norm(bk @ bl - bl @ bk)
             rel[f"cross.A{k + 1}_B{l + 1}.comm"] = tau_norm(ak @ bl - bl @ ak)
+    return rel
+
+
+def two_of_n_residuals(
+    strategy: SynchronousStrategy, n: int, tol: Tolerance = DEFAULT_TOL
+) -> ResidualReport:
+    """2-of-n-MS rigidity audit over the derived instance observables."""
+    rel = _pair_relations(two_of_n_pair_family(strategy, n).pairs)
     game, _ = two_of_n_ms(n)
     deficit = 1.0 - value(game, strategy, tol).value
     return ResidualReport.build(rel, deficit)
@@ -255,18 +262,7 @@ def dimension_certificate(
     2^n against the ambient dimension.
     """
     family.validate(tol)
-    pairs = family.pairs
-    n = len(pairs)
-    eps = 0.0
-    for k, (a, b) in enumerate(pairs):
-        eps = max(eps, tau_norm(a @ b + b @ a))
-        for l in range(k + 1, n):
-            al, bl = pairs[l]
-            eps = max(eps, tau_norm(a @ al - al @ a))
-            eps = max(eps, tau_norm(b @ bl - bl @ b))
-            eps = max(eps, tau_norm(a @ bl - bl @ a))
-            eps = max(eps, tau_norm(b @ al - al @ b))
-    return n, eps
+    return len(family.pairs), max(_pair_relations(family.pairs).values())
 
 
 def extract_projection(

@@ -73,6 +73,16 @@ def _builtin_game(spec: dict):
     return build(size)
 
 
+def _time_budget(transform: str, params) -> int:
+    """The time budget T of a transform document: a JSON integer (not a
+    bool, float or string) in 1..64.  A proof has about 14 T^2 variables;
+    tests, demos and benchmarks use 2..8."""
+    T = params.get("T") if isinstance(params, dict) else None
+    if type(T) is not int or not 1 <= T <= 64:
+        raise ValueError(f"{transform} field 'T' must be an integer in 1..64, got {T!r}")
+    return T
+
+
 _NON_FINITE = "cannot serialize non-finite numbers"
 
 
@@ -241,9 +251,9 @@ def game_from_doc(doc: dict):
         if name == "introspect":
             return tr.introspect(base), None
         if name == "answer_reduce":
-            return tr.answer_reduce(base, int(params["T"])), None
+            return tr.answer_reduce(base, _time_budget(name, params)), None
         if name == "gapless_compress":
-            return tr.gapless_compress(base, int(params["T"])), None
+            return tr.gapless_compress(base, _time_budget(name, params)), None
         raise ValueError(f"unknown transform {name!r}")
     raise ValueError("game document needs 'builtin', 'table' or 'transform'")
 

@@ -179,34 +179,28 @@ def lift_oracularize(game: Game, strategy: SynchronousStrategy) -> SynchronousSt
 # introspection
 
 INTRO_I = "I"
-_INTRO_IW = {"A": "I_A", "B": "I_B"}
-_INTRO_IWS = {"A": "I_A.S_B", "B": "I_B.S_A"}
-_INTRO_IWE = {"A": "I_A.E_B", "B": "I_B.E_A"}
-_SW = {"A": "S_A", "B": "S_B"}
-_EW = {"A": "E_A", "B": "E_B"}
-_OTHER = {"A": "B", "B": "A"}
-INTRO_SPECIALS = (
-    INTRO_I,
-    _INTRO_IW["A"],
-    _INTRO_IW["B"],
-    _INTRO_IWS["A"],
-    _INTRO_IWE["A"],
-    _INTRO_IWS["B"],
-    _INTRO_IWE["B"],
-)
+INTRO_SPECIALS = (INTRO_I, "I_A", "I_B", "I_A.S_B", "I_A.E_B", "I_B.S_A", "I_B.E_A")
 
 
-def _intro_edges():
-    """The nontrivial special-question adjacency (12 ordered patterns)."""
-    edges = []
-    for w in ("A", "B"):
-        edges.append((INTRO_I, _INTRO_IW[w]))
-        edges.append((_INTRO_IW[w], _INTRO_IWS[w]))
-        edges.append((_INTRO_IW[w], _SW[w]))
-        edges.append((_INTRO_IW[w], _INTRO_IWE[w]))
-        edges.append((_INTRO_IWE[w], _EW[_OTHER[w]]))
-        edges.append((_INTRO_IWS[w], _SW[_OTHER[w]]))
-    return edges
+def _intro_answers(game: Game):
+    """The exponent l and the answers of each special question.
+
+    Requires the base question set to be exactly {0,1}^l for even l >= 2.
+    I_W answers (x, a), I_W.S and I_W.E answer (x, a, y), and I answers the
+    transcript (x, a, y, b), in base question and answer order.
+    """
+    base = list(game.questions)
+    l = len(base[0]) if base and isinstance(base[0], tuple) else 0
+    if sorted(base) != bitstrings(l) or l < 2 or l % 2:
+        raise ValueError("introspection requires questions {0,1}^l, even l >= 2")
+    xs = bitstrings(l)
+    iw = tuple((x, a) for x in xs for a in game.answers(x))
+    iwq = tuple((x, a, y) for x, a in iw for y in xs)
+    answers = {INTRO_I: tuple(xa + yb for xa in iw for yb in iw)}
+    for w, o in (("A", "B"), ("B", "A")):
+        answers[f"I_{w}"] = iw
+        answers[f"I_{w}.S_{o}"] = answers[f"I_{w}.E_{o}"] = iwq
+    return l, answers
 
 
 def introspect(game: Game) -> Game:
@@ -217,74 +211,54 @@ def introspect(game: Game) -> Game:
     question I expects a full transcript (x, a, y, b) and is cross-checked
     so that honest players sample (x, y) uniformly.
     """
-    base = list(game.questions)
-    l = len(base[0]) if base and isinstance(base[0], tuple) else 0
-    if sorted(base) != bitstrings(l) or l < 2 or l % 2:
-        raise ValueError("introspection requires questions {0,1}^l, even l >= 2")
-
+    l, special_answers = _intro_answers(game)
     qs_game, _ = question_sampling(l)
     qs_questions = list(qs_game.questions)
     qs_set = set(qs_questions)
-    questions = qs_questions + list(INTRO_SPECIALS)
     xs = bitstrings(l)
-
-    ans_i = tuple(
-        (x, a, y, b)
-        for x in xs
-        for a in game.answers(x)
-        for y in xs
-        for b in game.answers(y)
-    )
-    ans_iw = tuple((x, a) for x in xs for a in game.answers(x))
-    ans_iwq = tuple((x, a, y) for x in xs for a in game.answers(x) for y in xs)
+    iw, iwq, transcripts = (special_answers[q] for q in ("I_A", "I_A.S_B", INTRO_I))
 
     def answers(q):
-        if q in qs_set:
-            return qs_game.answers(q)
-        if q == INTRO_I:
-            return ans_i
-        if q in (_INTRO_IW["A"], _INTRO_IW["B"]):
-            return ans_iw
-        return ans_iwq
+        return qs_game.answers(q) if q in qs_set else special_answers[q]
 
     def equal_mask(keys_a, keys_b):
         return np.array([[ka == kb for kb in keys_b] for ka in keys_a], dtype=bool)
 
+    # per transcript (x, a, y, b): whether its base pair is trivial, and
+    # whether the transcript wins it
+    trivial, wins = [], []
+    for x, a, y, b in transcripts:
+        base = game.rule(x, y)
+        trivial.append(base is None)
+        wins.append(base is None or base[game.answers(x).index(a), game.answers(y).index(b)])
+    trivial, wins = np.array(trivial)[:, None], np.array(wins)[:, None]
+
     def transcript_mask(w):
         """I's (x, a, y, b) against I_W's (z, c): on a nontrivial base pair
         the transcript must win and (z, c) must be player W's half."""
-        iw_index = {lab: k for k, lab in enumerate(ans_iw)}
-        rows = []
-        for x in xs:
-            for ia, a in enumerate(game.answers(x)):
-                for y in xs:
-                    base = game.rule(x, y)
-                    for ib, b in enumerate(game.answers(y)):
-                        row = np.full(len(ans_iw), base is None)
-                        if base is not None and base[ia, ib]:
-                            row[iw_index[(x, a) if w == "A" else (y, b)]] = True
-                        rows.append(row)
-        return np.array(rows)
+        half = equal_mask([t[:2] if w == "A" else t[2:] for t in transcripts], iw)
+        return trivial | (wins & half)
 
-    def edge_mask(q, r):
-        """Accept mask of the ordered special edge (q, r)."""
-        for w in ("A", "B"):
-            if q == INTRO_I and r == _INTRO_IW[w]:
-                return transcript_mask(w)
-            if q == _INTRO_IW[w] and r == _SW[w]:
-                # the introspected question is the sampled string
-                return equal_mask([x for x, _ in ans_iw], qs_game.answers(r))
-            if q == _INTRO_IW[w]:
-                # (x, a) against (z, c, y): same question and answer
-                return equal_mask(ans_iw, [b[:2] for b in ans_iwq])
-        # (x, a, y) against the other player's sampled or erased string y
-        return equal_mask([a[2] for a in ans_iwq], qs_game.answers(r))
-
+    # (x, a) against (z, c, y): same question and answer
+    same_xa = equal_mask(iw, [c[:2] for c in iwq])
+    # the introspected question is the sampled string
+    sampled_x = equal_mask([x for x, _ in iw], xs)
+    # (x, a, y) against the other player's sampled or erased string y
+    other_y = equal_mask([c[2] for c in iwq], xs)
+    # the twelve special edges (q, r, accept mask); (r, q) is the transpose
+    edges = []
+    for w, o in (("A", "B"), ("B", "A")):
+        edges += [
+            (INTRO_I, f"I_{w}", transcript_mask(w)),
+            (f"I_{w}", f"I_{w}.S_{o}", same_xa),
+            (f"I_{w}", f"S_{w}", sampled_x),
+            (f"I_{w}", f"I_{w}.E_{o}", same_xa),
+            (f"I_{w}.E_{o}", f"E_{o}", other_y),
+            (f"I_{w}.S_{o}", f"S_{o}", other_y),
+        ]
     edge_masks = {}
-    for q, r in _intro_edges():
-        mask = edge_mask(q, r)
-        edge_masks[(q, r)] = mask
-        edge_masks[(r, q)] = _transposed(mask)
+    for q, r, mask in edges:
+        edge_masks[(q, r)], edge_masks[(r, q)] = mask, _transposed(mask)
     for mask in edge_masks.values():
         mask.flags.writeable = False
 
@@ -297,10 +271,11 @@ def introspect(game: Game) -> Game:
         yield from qs_game.nontrivial_pairs()
         for s in INTRO_SPECIALS:
             yield (s, s)
-        for q, r in _intro_edges():
+        for q, r, _ in edges:
             yield (q, r)
             yield (r, q)
 
+    questions = qs_questions + list(INTRO_SPECIALS)
     return Game(f"{game.name}.intro", questions, answers, rule, nontrivial_pairs=pairs)
 
 
@@ -308,70 +283,48 @@ def lift_introspection(game: Game, strategy: SynchronousStrategy) -> Synchronous
     """Honest introspection lift over QS_l honest tensor the base strategy.
 
     QS questions act on the sampling register alone; I_W measures S^W to
-    introspect x and then the base measurement for x; the transcript
-    question I measures both sampling registers and, on base-nontrivial
-    pairs, both base measurements (commuting by oracularizability).
+    introspect x and then the base measurement for x, and I_W.S and I_W.E
+    also measure the other player's S or E; the transcript question I
+    measures both sampling registers and, on base-nontrivial pairs, both
+    base measurements (commuting by oracularizability).
     """
-    base = list(game.questions)
-    l = len(base[0])
+    l, special_answers = _intro_answers(game)
     _require_oracularizable(game, strategy)
     _, qs_honest = question_sampling(l)
-    dim_qs = 4**l
-    dim = dim_qs * strategy.dim
-    eye_s = np.eye(strategy.dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
+    dim = 4**l * strategy.dim
     xs = bitstrings(l)
-    sw = {w: qs_honest.measurement(_SW[w]) for w in ("A", "B")}
-    ew = {w: qs_honest.measurement(_EW[w]) for w in ("A", "B")}
+    sample = {w: qs_honest.measurement(f"S_{w}").element for w in ("A", "B")}
+
+    def measured(x, a):
+        return strategy.measurement(x).element(a)
+
+    def element_rule(q):
+        """The element of special question q at one of its answer labels."""
+        if q == INTRO_I:
+            zero = np.zeros((dim, dim), dtype=complex)
+            samples = {(x, y): sample["A"](x) @ sample["B"](y) for x in xs for y in xs}
+            terms = {(x, y): _oracle_terms(game, strategy, x, y) for x in xs for y in xs}
+
+            def transcript(x, a, y, b):
+                term = terms[(x, y)].get((a, b))
+                return zero if term is None else np.kron(samples[(x, y)], term)
+
+            return transcript
+        w = q[2]  # the introspecting player of I_W, I_W.S and I_W.E
+        if q == f"I_{w}":
+            return lambda x, a: np.kron(sample[w](x), measured(x, a))
+        other = qs_honest.measurement(q.split(".")[1]).element  # S or E of the other player
+        return lambda x, a, y: np.kron(sample[w](x) @ other(y), measured(x, a))
 
     def build(q):
-        for w in ("A", "B"):
-            if q == _INTRO_IW[w]:
-                labels, elements = [], []
-                for x in xs:
-                    mx = strategy.measurement(x)
-                    for a in mx.labels:
-                        labels.append((x, a))
-                        elements.append(np.kron(sw[w].element(x), mx.element(a)))
-                return Measurement(tuple(labels), elements, kind="projective")
-            if q in (_INTRO_IWS[w], _INTRO_IWE[w]):
-                second = sw[_OTHER[w]] if q == _INTRO_IWS[w] else ew[_OTHER[w]]
-                labels, elements = [], []
-                for x in xs:
-                    mx = strategy.measurement(x)
-                    for a in mx.labels:
-                        for y in xs:
-                            labels.append((x, a, y))
-                            elements.append(
-                                np.kron(
-                                    sw[w].element(x) @ second.element(y),
-                                    mx.element(a),
-                                )
-                            )
-                return Measurement(tuple(labels), elements, kind="projective")
-        if q == INTRO_I:
-            samples = {
-                (x, y): sw["A"].element(x) @ sw["B"].element(y) for x in xs for y in xs
-            }
-            terms = {(x, y): _oracle_terms(game, strategy, x, y) for x in xs for y in xs}
-            labels, elements = [], []
-            for x in xs:
-                for a in strategy.measurement(x).labels:
-                    for y in xs:
-                        pair_terms = terms[(x, y)]
-                        for b in strategy.measurement(y).labels:
-                            labels.append((x, a, y, b))
-                            term = pair_terms.get((a, b))
-                            elements.append(
-                                zero if term is None else np.kron(samples[(x, y)], term)
-                            )
-            return Measurement(tuple(labels), elements, kind="projective")
+        if q in special_answers:
+            element = element_rule(q)
+            labels = special_answers[q]
+            return Measurement(labels, [element(*lab) for lab in labels], kind="projective")
         # Question Sampling question: act on the sampling register alone
-        return Measurement(
-            qs_honest.measurement(q).labels,
-            [np.kron(e, eye_s) for e in qs_honest.measurement(q).elements],
-            kind="projective",
-        )
+        m = qs_honest.measurement(q)
+        eye_s = np.eye(strategy.dim, dtype=complex)
+        return Measurement(m.labels, [np.kron(e, eye_s) for e in m.elements], kind="projective")
 
     return SynchronousStrategy(dim, build, cache_size=64)
 
@@ -541,7 +494,10 @@ class _ARContext:
 
 
 class _ARQuestions:
-    """Lazy indexed question space X^orac x ([L] + [L]^2 + [L]^3)."""
+    """Lazy indexed question space X^orac x ([L] + [L]^2 + [L]^3).
+
+    It is indexed, never enumerated: iteration raises BudgetError.
+    """
 
     def __init__(self, ctx: _ARContext):
         self.ctx = ctx
@@ -577,8 +533,11 @@ class _ARQuestions:
         return (g, p)
 
     def __iter__(self):
-        for i in range(self._len):
-            yield self[i]
+        # a plain function, so list() raises before sizing a list by len()
+        raise BudgetError(
+            f"enumerating {self._len:,} answer-reduced questions is out of reach;"
+            " index them or use sampled_value"
+        )
 
     def maybe_nontrivial(self, xi, yi):
         """Index pairs the rule can engage: the diagonal, or exactly one

@@ -250,6 +250,95 @@ class TestTransform:
         assert doc["params"] == {"T": 3}
 
 
+class TestTimeBudget:
+    """T of a transform document is a JSON integer in 1..64, checked before
+    the transform is built, and --T reaches the same check."""
+
+    BASE = {"builtin": {"kind": "consistency", "l": 2}}
+
+    @pytest.mark.parametrize(
+        "transform, params",
+        [("answer_reduce", {"T": "4"}), ("answer_reduce", {"T": 2.9}),
+         ("answer_reduce", {"T": True}), ("answer_reduce", {"T": None}),
+         ("answer_reduce", {}), ("gapless_compress", {"T": 0}),
+         ("gapless_compress", {"T": 65})],
+        ids=["string", "float", "bool", "null", "missing", "zero", "above_cap"],
+    )
+    def test_document_refused(self, tmp_path, capsys, transform, params):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"transform": transform, "params": params, "base": self.BASE}))
+        start = time.perf_counter()
+        rc = run(["eval", "--game", str(path), "--strategy", "honest"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {transform} field 'T'") and "1..64" in err, err
+
+    @pytest.mark.parametrize("T", ["0", "65"])
+    def test_cli_T_refused(self, tmp_path, capsys, T):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(self.BASE))
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        rc = run(["transform", "--transform", "answer_reduce", "--base", str(base), "--T", T,
+                  "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: answer_reduce field 'T'") and "1..64" in err, err
+
+
+class TestAnswerReducedEnumeration:
+    """Verbs that enumerate every question refuse an answer-reduced game
+    (213,932,400 questions here) instead of walking it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ncpo"], ["classical"], ["seesaw", "--dim", "2", "--seed", "1"],
+         ["eval", "--strategy", "{strategy}"]],
+        ids=["ncpo", "classical", "seesaw", "eval_strategy_file"],
+    )
+    def test_refused_with_budget_message(self, tmp_path, capsys, argv):
+        game = tmp_path / "ans.json"
+        game.write_text(json.dumps({
+            "transform": "answer_reduce", "params": {"T": 4},
+            "base": {"builtin": {"kind": "consistency", "l": 2}},
+        }))
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps({"dim": 1, "measurements": {}}))
+        argv = [a.format(strategy=strategy) for a in argv]
+        start = time.perf_counter()
+        rc = run([argv[0], "--game", str(game), *argv[1:]])
+        assert time.perf_counter() - start < 5.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: enumerating 213,932,400 answer-reduced questions"), err
+
+
+class TestTableDiagonal:
+    def test_eval_refuses_diagonal_entry(self, tmp_path, capsys):
+        """At dimension 1 the strategy answers 0 everywhere; a table that
+        lists ("x", "x") is refused instead of evaluated."""
+        game = tmp_path / "table.json"
+        game.write_text(json.dumps({"table": {
+            "name": "diag",
+            "questions": ["x", "y"],
+            "answers": {'"x"': [0, 1], '"y"': [0, 1]},
+            "nontrivial_pairs": [["x", "x"]],
+            "accept": {'["x","x"]': [[0, 1], [1, 0]]},
+        }}))
+        one = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
+        zero = {"dim": 1, "re": [[0.0]], "im": [[0.0]]}
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps(
+            {"dim": 1, "measurements": {'"x"': [one, zero], '"y"': [one, zero]}}
+        ))
+        rc = run(["eval", "--game", str(game), "--strategy", str(strategy)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "('x', 'x')" in err, err
+
+
 class TestCooklevin:
     @pytest.fixture
     def machine_file(self, tmp_path):

@@ -442,6 +442,18 @@ class TestTableGame:
         assert not game.decide("x", "y", 0, 1)
         assert game.decide("y", "x", 1, 1)
 
+    @pytest.mark.parametrize(
+        "listed, accept",
+        [([("x", "x")], {}),
+         ([("x", "y")], {("x", "y"): [(0, 0)], ("x", "x"): [(0, 1), (1, 0)]})],
+        ids=["nontrivial_pairs", "accept"],
+    )
+    def test_diagonal_entries_refused(self, listed, accept):
+        # the diagonal always accepts exactly a = b; a listed entry there
+        # would otherwise be dropped without a word
+        with pytest.raises(ValueError, match=r"diagonal pair \('x', 'x'\)"):
+            table_game("diag", ["x", "y"], {"x": (0, 1), "y": (0, 1)}, listed, accept)
+
     def test_trivial_and_forbidden_builtins(self):
         gt, st = trivial_game(2)
         assert value(gt, st).value == 1.0

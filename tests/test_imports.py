@@ -1,7 +1,9 @@
-"""Every name a library module imports is used there or re-exported, and
-every local a library function assigns is read."""
+"""Every name a library module imports is used there or re-exported,
+every local a library function assigns is read, and every name the package
+imports from a module is in that module's __all__."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -113,3 +115,26 @@ def test_unused_locals_checker():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
+
+
+def unexported_imports(init_source: str, exports: dict) -> list[str]:
+    """Names the package __init__ imports from a sibling module that the
+    module's __all__ (exports[module]) does not list."""
+    missing = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            listed = exports[node.module]
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in listed]
+    return sorted(missing)
+
+
+def test_unexported_imports_checker():
+    source = "import os\nfrom .a import x, y\nfrom .b import z\nfrom os import sep\n"
+    assert unexported_imports(source, {"a": ["x"], "b": ["z"]}) == ["a.y"]
+    assert unexported_imports(source, {"a": ["x", "y"], "b": []}) == ["b.z"]
+
+
+def test_package_imports_only_exported_names():
+    exports = {p.stem: importlib.import_module(f"syncgames.{p.stem}").__all__ for p in MODULES}
+    init = Path(syncgames.__file__).read_text()
+    assert unexported_imports(init, exports) == []

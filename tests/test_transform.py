@@ -297,6 +297,43 @@ class TestLiftIntrospection:
         with pytest.raises(ValueError, match="not oracularizable"):
             lift_introspection(*clash_game())
 
+    def test_refuses_a_base_that_introspect_refuses(self):
+        """Three of the four 2-bit strings: both refuse with one message,
+        before any measurement is built."""
+        three = bitstrings(2)[:3]
+        base = table_game("three", three, {x: (0, 1) for x in three}, [], {})
+        strategy = SynchronousStrategy(1, {})
+        with pytest.raises(ValueError) as refused:
+            introspect(base)
+        with pytest.raises(ValueError) as lift_refused:
+            lift_introspection(base, strategy)
+        assert str(lift_refused.value) == str(refused.value)
+        assert "{0,1}^l" in str(refused.value)
+
+    # sha256 over the seven special questions, then 20 seeded Question
+    # Sampling questions, of "q|labels" and the complex128 bytes of each
+    # element of the honest lift's measurement
+    LIFT_DIGESTS = {
+        "consistency": "917ad935051cf2009a2ea6605b2917a9a42fb9b9cd5a9a86471ed1012ef2f670",
+        "forbidden_pair": "32b0e72959283b91e162fe86367f457f54757fa5863a5f8948020b3281c1b820",
+    }
+
+    @pytest.mark.parametrize(
+        "name, make", [("consistency", consistency_game), ("forbidden_pair", forbidden_pair_game)]
+    )
+    def test_honest_lift_pinned(self, name, make):
+        base, strategy = make(2)
+        lifted = lift_introspection(base, strategy)
+        qs = list(introspect(base).questions)[: -len(INTRO_SPECIALS)]
+        picks = rng_for("introlift", name).integers(0, len(qs), size=20)
+        digest = hashlib.sha256()
+        for q in list(INTRO_SPECIALS) + [qs[int(i)] for i in picks]:
+            m = lifted.measurement(q)
+            digest.update(f"{q!r}|{m.labels!r}\n".encode())
+            for e in m.elements:
+                digest.update(np.ascontiguousarray(e, dtype=complex).tobytes())
+        assert digest.hexdigest() == self.LIFT_DIGESTS[name]
+
 
 class TestSynthesizedDeciders:
     def test_projection_semantics(self):
