@@ -6,6 +6,15 @@ operators; binary questions get the exact eigenspace update, multi-outcome
 questions a greedy spectral assignment.  Updates are kept only when they
 do not decrease the local objective, so the value trace is monotone.
 
+A multi-outcome update holds each answer's range as an orthonormal
+column block (a frame) while it is polished: two answers' frames side by
+side are an orthonormal basis of their joint range, so re-splitting the
+pair needs one eigh of the compressed difference, a sign test when the
+joint range is one column and nothing when it is empty.  Dense
+projectors are formed once, after the polish.  Each seesaw call reads
+the game's accept masks once into a table (question -> nontrivial
+partners and float masks) that every sweep's gradients read.
+
 classical_value is an exact branch-and-bound over deterministic
 synchronous strategies (dimension-1 projective assignments).
 """
@@ -67,27 +76,35 @@ def _random_projective(num_answers: int, dim: int, rng) -> list[np.ndarray]:
     return out
 
 
-def _coefficients(game: Game, x, measurements: dict, questions) -> list[np.ndarray]:
+def _mask_table(game: Game, questions) -> dict:
+    """x -> [(y, float accept mask over answers(x) x answers(y))] for every
+    question y != x whose pair is nontrivial, in question order."""
+    table = {}
+    for x in questions:
+        row = []
+        for y in questions:
+            if y == x:
+                continue
+            mask = game.rule(x, y)
+            if mask is not None:  # a trivial pair adds a constant shift
+                row.append((y, mask.astype(float)))
+        table[x] = row
+    return table
+
+
+def _coefficients(game: Game, x, measurements: dict, table: dict) -> list[np.ndarray]:
     """Hermitian gradient operators C^x_a of the value in question x.
 
-    Diagonal terms are omitted: for projective updates they contribute a
-    constant, and every off-diagonal pair appears twice by symmetry of the
-    decision predicate.
+    table is the see-saw's mask table (one entry per question).  Diagonal
+    terms are omitted: for projective updates they contribute a constant,
+    and every off-diagonal pair appears twice by symmetry of the decision
+    predicate.
     """
-    labels = game.answers(x)
     dim = next(iter(measurements.values()))[0].shape[0]
-    coeff = [np.zeros((dim, dim), dtype=complex) for _ in labels]
-    scale = 2.0 / len(questions) ** 2
-    for y in questions:
-        if y == x:
-            continue
-        mask = game.rule(x, y)
-        if mask is None:
-            continue  # full answer mass: constant shift for complete POVMs
-        ys = measurements[y]
-        stacked = np.tensordot(mask.astype(float), np.stack(ys), axes=(1, 0))
-        for ia in range(len(labels)):
-            coeff[ia] += scale * stacked[ia]
+    coeff = np.zeros((len(game.answers(x)), dim, dim), dtype=complex)
+    scale = 2.0 / len(table) ** 2
+    for y, mask in table[x]:
+        coeff += scale * np.tensordot(mask, np.stack(measurements[y]), axes=(1, 0))
     return [(c + c.conj().T) / 2 for c in coeff]
 
 
@@ -112,46 +129,45 @@ def _greedy_update(coeff) -> list[np.ndarray]:
 
     Diagonalizes a weighted pencil of the coefficient operators, assigns
     each eigenvector to the answer with the largest Rayleigh quotient,
-    then polishes with exact two-answer block splits; heuristic, guarded
-    by the caller.
+    then polishes the answers' frames with exact two-answer splits;
+    heuristic, guarded by the caller.
     """
-    dim = coeff[0].shape[0]
     pencil = sum((k + 1) * c for k, c in enumerate(coeff))
     _, v = np.linalg.eigh(pencil)
     scores = np.stack([((v.conj().T @ c) * v.T).sum(axis=1).real for c in coeff])
     assignment = scores.argmax(axis=0)
-    out = [np.zeros((dim, dim), dtype=complex) for _ in coeff]
-    for col in range(dim):
-        vec = v[:, col : col + 1]
-        out[assignment[col]] += vec @ vec.conj().T
-    return _pairwise_polish(out, coeff)
+    frames = _pairwise_polish([v[:, assignment == a] for a in range(len(coeff))], coeff)
+    return [f @ f.conj().T for f in frames]
 
 
-def _pairwise_polish(elements, coeff) -> list[np.ndarray]:
+def _pairwise_polish(frames, coeff) -> list[np.ndarray]:
     """Exact re-split of every answer pair's combined support.
 
-    For answers (i, j) the restriction of the objective to their joint
-    range is a binary problem, solved exactly by the nonnegative
-    eigenspace of the compressed difference; iterating over pairs is
-    monotone coordinate ascent, run for three rounds.
+    Each answer's range is an orthonormal column block (its frame), and
+    the frames of different answers are orthogonal, so two frames side by
+    side are an orthonormal basis of the pair's joint range.  There the
+    objective is a binary problem, solved exactly by the nonnegative
+    eigenspace of the compressed difference (a sign test when the joint
+    range is one column; nothing to do when it is empty).  Iterating over
+    pairs is monotone coordinate ascent, run for three rounds.
     """
-    elements = [e.copy() for e in elements]
-    m = len(elements)
+    frames = list(frames)
+    m = len(frames)
     for _ in range(3):
         for i in range(m):
             for j in range(i + 1, m):
-                joint = elements[i] + elements[j]
-                w, v = np.linalg.eigh(joint)
-                basis = v[:, w > 0.5]
-                if basis.shape[1] == 0:
+                if frames[i].shape[1] + frames[j].shape[1] == 0:
                     continue
+                basis = np.concatenate((frames[i], frames[j]), axis=1)
                 diff = basis.conj().T @ (coeff[i] - coeff[j]) @ basis
+                if basis.shape[1] == 1:
+                    keep = int(diff[0, 0].real >= 0)
+                    frames[i], frames[j] = basis[:, :keep], basis[:, keep:]
+                    continue
                 dw, dv = np.linalg.eigh((diff + diff.conj().T) / 2)
-                keep = dv[:, dw >= 0]
-                pi = basis @ keep @ keep.conj().T @ basis.conj().T
-                elements[i] = pi
-                elements[j] = joint - pi
-    return elements
+                frames[i] = basis @ dv[:, dw >= 0]
+                frames[j] = basis @ dv[:, dw < 0]
+    return frames
 
 
 def seesaw(game: Game, cfg: SeesawConfig):
@@ -161,6 +177,7 @@ def seesaw(game: Game, cfg: SeesawConfig):
     (restart, iteration, value) rows, nondecreasing within each restart.
     """
     questions = list(game.questions)
+    table = _mask_table(game, questions)
     best_strategy = None
     best_value = -1.0
     trace = []
@@ -174,7 +191,7 @@ def seesaw(game: Game, cfg: SeesawConfig):
         trace.append((restart, 0, current))
         for it in range(1, cfg.max_iters + 1):
             for x in questions:
-                coeff = _coefficients(game, x, meas, questions)
+                coeff = _coefficients(game, x, meas, table)
                 old = meas[x]
                 new = (
                     _binary_update(coeff)
@@ -233,13 +250,18 @@ def classical_value(game: Game, cap: int = 10**8):
     ordered = [questions[i] for i in order]
     answer_sets = [game.answers(x) for x in ordered]
 
-    # pair win tables against earlier questions, both orientations plus diag
+    widths = [len(answers) for answers in answer_sets]
+
+    # pair win tables against earlier questions, both orientations, as flat
+    # row-major lists: indexing a list is cheaper than a numpy array at
+    # every search node, and one flat list per pair holds less memory than
+    # nested rows
     masks = {}
     for i, x in enumerate(ordered):
         for j in range(i):
             y = ordered[j]
-            masks[(i, j)] = game.accept_mask(x, y)
-            masks[(j, i)] = game.accept_mask(y, x)
+            masks[(i, j)] = game.accept_mask(x, y).ravel().tolist()
+            masks[(j, i)] = game.accept_mask(y, x).ravel().tolist()
 
     total_pairs = n * n
     best_score = -1
@@ -267,8 +289,8 @@ def classical_value(game: Game, cap: int = 10**8):
         for ai in range(len(answer_sets[k])):
             gained = 1  # diagonal pair (x, x) always wins deterministically
             for j in range(k):
-                gained += int(masks[(k, j)][ai, assignment[j]])
-                gained += int(masks[(j, k)][assignment[j], ai])
+                gained += masks[(k, j)][ai * widths[j] + assignment[j]]
+                gained += masks[(j, k)][assignment[j] * widths[k] + ai]
             assignment.append(ai)
             dfs(k + 1, score + gained)
             assignment.pop()

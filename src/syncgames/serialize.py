@@ -57,10 +57,17 @@ BUILTIN_GAMES = {
 }
 
 
+def _field(doc: dict, kind: str, name: str):
+    """doc[name], or a ValueError naming the document kind and the field."""
+    if not isinstance(doc, dict) or name not in doc:
+        raise ValueError(f"{kind} document needs field {name!r}")
+    return doc[name]
+
+
 def _builtin_game(spec: dict):
     """Build a builtin game from its document.  The size field must be a
     JSON integer (not a bool, float or string) that BUILTIN_GAMES allows."""
-    kind = spec["kind"]
+    kind = _field(spec, "builtin", "kind")
     if kind not in BUILTIN_GAMES:
         raise ValueError(f"unknown builtin game kind {kind!r}")
     build, field, allowed, default = BUILTIN_GAMES[kind]
@@ -227,14 +234,17 @@ def game_from_doc(doc: dict):
         return _builtin_game(doc["builtin"])
     if "table" in doc:
         spec = doc["table"]
-        questions = [_uncanon(q) for q in spec["questions"]]
+        questions = [_uncanon(q) for q in _field(spec, "table", "questions")]
         answers = {
             _uncanon(json.loads(k)): tuple(_uncanon(a) for a in v)
-            for k, v in spec["answers"].items()
+            for k, v in _field(spec, "table", "answers").items()
         }
-        pairs = [tuple(_uncanon(q) for q in pair) for pair in spec["nontrivial_pairs"]]
+        pairs = [
+            tuple(_uncanon(q) for q in pair)
+            for pair in _field(spec, "table", "nontrivial_pairs")
+        ]
         accept = {}
-        for key, pairs_doc in spec["accept"].items():
+        for key, pairs_doc in _field(spec, "table", "accept").items():
             x, y = (_uncanon(part) for part in json.loads(key))
             accept[(x, y)] = [
                 (_uncanon(a), _uncanon(b)) for a, b in pairs_doc
@@ -243,7 +253,7 @@ def game_from_doc(doc: dict):
     if "transform" in doc:
         from . import transform as tr
 
-        base, _ = game_from_doc(doc["base"])
+        base, _ = game_from_doc(_field(doc, "transform", "base"))
         params = doc.get("params", {})
         name = doc["transform"]
         if name == "oracularize":

@@ -173,3 +173,51 @@ def recording(game, calls: list):
 
     game._rule = recorded
     return game
+
+
+def greedy_start(coeff) -> list[np.ndarray]:
+    """Dense projectors of the see-saw's greedy spectral assignment: each
+    eigenvector of the weighted pencil goes to the answer with the
+    largest Rayleigh quotient (the start of the pairwise polish)."""
+    dim = coeff[0].shape[0]
+    pencil = sum((k + 1) * c for k, c in enumerate(coeff))
+    _, v = np.linalg.eigh(pencil)
+    scores = np.stack([((v.conj().T @ c) * v.T).sum(axis=1).real for c in coeff])
+    assignment = scores.argmax(axis=0)
+    out = [np.zeros((dim, dim), dtype=complex) for _ in coeff]
+    for col in range(dim):
+        vec = v[:, col : col + 1]
+        out[assignment[col]] += vec @ vec.conj().T
+    return out
+
+
+def reference_polish(elements, coeff):
+    """The dense pairwise polish: each pair's joint support comes from an
+    eigh of E_i + E_j, then an eigh of the compressed difference splits
+    it.  Returns (projectors, margin), margin being the smallest
+    |eigenvalue| of any compressed difference it diagonalized, so a
+    caller can tell draws where roundoff may decide a near-tie."""
+    elements = [e.copy() for e in elements]
+    margin = np.inf
+    m = len(elements)
+    for _ in range(3):
+        for i in range(m):
+            for j in range(i + 1, m):
+                joint = elements[i] + elements[j]
+                w, v = np.linalg.eigh(joint)
+                basis = v[:, w > 0.5]
+                if basis.shape[1] == 0:
+                    continue
+                diff = basis.conj().T @ (coeff[i] - coeff[j]) @ basis
+                dw, dv = np.linalg.eigh((diff + diff.conj().T) / 2)
+                margin = min(margin, float(np.abs(dw).min()))
+                keep = dv[:, dw >= 0]
+                pi = basis @ keep @ keep.conj().T @ basis.conj().T
+                elements[i] = pi
+                elements[j] = joint - pi
+    return elements, margin
+
+
+def random_hermitian(dim: int, rng) -> np.ndarray:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (z + z.conj().T) / 2

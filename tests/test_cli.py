@@ -339,6 +339,41 @@ class TestTableDiagonal:
         assert err.startswith("error: ") and "('x', 'x')" in err, err
 
 
+TABLE_DOC = {
+    "questions": ["x"],
+    "answers": {'"x"': [0, 1]},
+    "nontrivial_pairs": [],
+    "accept": {},
+}
+
+
+class TestMissingField:
+    """A game document without a required field exits 1 naming the
+    document kind and the field, not just the missing key."""
+
+    @pytest.mark.parametrize(
+        "doc, kind, field",
+        [
+            ({"transform": "introspect"}, "transform", "base"),
+            ({"builtin": {"l": 2}}, "builtin", "kind"),
+            *(
+                ({"table": {k: v for k, v in TABLE_DOC.items() if k != f}}, "table", f)
+                for f in TABLE_DOC
+            ),
+        ],
+        ids=["base", "kind", *TABLE_DOC],
+    )
+    def test_named_in_error(self, tmp_path, capsys, doc, kind, field):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        rc = run(["eval", "--game", str(path), "--strategy", "honest"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind} document needs field '{field}'"), err
+
+
 class TestCooklevin:
     @pytest.fixture
     def machine_file(self, tmp_path):

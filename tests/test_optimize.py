@@ -6,17 +6,29 @@ import numpy as np
 import pytest
 
 from syncgames.algebra import Tolerance, closeness
-from syncgames.builtins import MS_EQUATIONS, MS_QUESTIONS, magic_square
+from syncgames.builtins import MS_EQUATIONS, MS_QUESTIONS, consistency_game, magic_square
 from syncgames.games import table_game, value
 from syncgames.optimize import (
     SeesawConfig,
     _binary_update,
+    _coefficients,
+    _greedy_update,
+    _local_objective,
+    _mask_table,
+    _pairwise_polish,
     classical_value,
+    haar_unitary,
     perturb_strategy,
     seesaw,
 )
 
-from helpers import rng_for
+from helpers import (
+    greedy_start,
+    random_hermitian,
+    random_projective,
+    reference_polish,
+    rng_for,
+)
 
 
 class TestSeesaw:
@@ -48,6 +60,120 @@ class TestSeesaw:
         cfg = SeesawConfig(dim=4, restarts=2, max_iters=30, seed=3)
         strategy, val, _ = seesaw(game, cfg)
         assert value(game, strategy).value == pytest.approx(val, abs=1e-10)
+
+
+class TestSeesawCost:
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eigh_calls_bounded(self, monkeypatch, dim, seed):
+        """One sweep on Magic Square stays within 300 eigh calls: empty
+        answer pairs cost none, and frames need none for a pair's joint
+        support."""
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        game, _ = magic_square()
+        seesaw(game, SeesawConfig(dim, restarts=1, max_iters=1, seed=seed))
+        assert len(calls) <= 300
+
+
+def per_pair_coefficients(game, x, measurements, questions):
+    """C^x_a from game.rule, one question pair at a time."""
+    labels = game.answers(x)
+    dim = next(iter(measurements.values()))[0].shape[0]
+    coeff = [np.zeros((dim, dim), dtype=complex) for _ in labels]
+    scale = 2.0 / len(questions) ** 2
+    for y in questions:
+        if y == x:
+            continue
+        mask = game.rule(x, y)
+        if mask is None:
+            continue
+        stacked = np.tensordot(mask.astype(float), np.stack(measurements[y]), axes=(1, 0))
+        for ia in range(len(labels)):
+            coeff[ia] += scale * stacked[ia]
+    return [(c + c.conj().T) / 2 for c in coeff]
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize(
+        "build, dim", [(magic_square, 4), (lambda: consistency_game(2), 3)],
+        ids=["magic_square", "consistency_2"],
+    )
+    def test_mask_table_matches_per_pair_rule(self, build, dim):
+        game, _ = build()
+        questions = list(game.questions)
+        rng = rng_for("coefficients", game.name)
+        meas = {
+            x: list(random_projective(dim, len(game.answers(x)), rng).elements)
+            for x in questions
+        }
+        table = _mask_table(game, questions)
+        for x in questions:
+            got = _coefficients(game, x, meas, table)
+            want = per_pair_coefficients(game, x, meas, questions)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), x
+
+
+POLISH_CASES = [(d, k) for d in (2, 3, 4, 5) for k in (3, 4, 8)]
+
+
+def polish_draws(d, k, count=25):
+    rng = rng_for("polish", d, k)
+    for _ in range(count):
+        yield [random_hermitian(d, rng) for _ in range(k)]
+
+
+class TestFramePolish:
+    @pytest.mark.parametrize("d, k", POLISH_CASES)
+    def test_projective_and_no_worse_than_start(self, d, k):
+        eye = np.eye(d)
+        for coeff in polish_draws(d, k):
+            out = _greedy_update(coeff)
+            for i, p in enumerate(out):
+                assert np.abs(p @ p - p).max() <= 1e-10
+                for q in out[i + 1 :]:
+                    assert np.abs(p @ q).max() <= 1e-10
+            assert np.abs(sum(out) - eye).max() <= 1e-10
+            start = _local_objective(greedy_start(coeff), coeff)
+            assert _local_objective(out, coeff) >= start - 1e-12
+
+    @pytest.mark.parametrize("d, k", POLISH_CASES)
+    def test_agrees_with_dense_reference(self, d, k):
+        compared = 0
+        for coeff in polish_draws(d, k):
+            want, margin = reference_polish(greedy_start(coeff), coeff)
+            if margin <= 1e-8:
+                continue  # roundoff may decide a near-tie either way
+            compared += 1
+            for g, w in zip(_greedy_update(coeff), want):
+                assert np.abs(g - w).max() <= 1e-9
+        assert compared >= 20
+
+    @pytest.mark.parametrize("scalar", [1.0, 1e-12, 0.0, -0.0, -1e-12, -1.0])
+    def test_one_column_sign_test_matches_eigh(self, scalar):
+        """A one-column joint support is split by the sign of b^H (C_i - C_j) b,
+        giving the projector an eigh of that 1x1 matrix gives."""
+        rng = rng_for("sign_test", str(scalar))
+        d = 3
+        b = haar_unitary(d, rng)[:, :1]
+        c1 = random_hermitian(d, rng)
+        c0 = c1 + scalar * (b @ b.conj().T)
+        diff = b.conj().T @ (c0 - c1) @ b
+        dw, dv = np.linalg.eigh((diff + diff.conj().T) / 2)
+        keep = b @ dv[:, dw >= 0]
+        want = [keep @ keep.conj().T, (b @ b.conj().T) - keep @ keep.conj().T]
+        for start in ([b, b[:, :0]], [b[:, :0], b]):
+            frames = _pairwise_polish(start, [c0, c1])
+            got = [f @ f.conj().T for f in frames]
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestBinaryUpdateOptimality:
@@ -126,6 +252,16 @@ class TestClassicalValue:
             for y in game.questions
         )
         assert wins / 225 == val
+
+    def test_reports_first_optimal_assignment(self):
+        """Branch and bound in lexicographic answer order: the first optimum
+        on Magic Square sets every variable to 0 and gives c3, the one odd
+        equation, the answer (0, 0, 1)."""
+        game, _ = magic_square()
+        _, assignment = classical_value(game)
+        want = {q: 0 for q in MS_QUESTIONS if q.startswith("s")}
+        want.update({eq: (0, 0, 0) for eq in MS_EQUATIONS}, c3=(0, 0, 1))
+        assert assignment == want
 
     def test_matches_brute_force_on_small_game(self):
         game = table_game(
