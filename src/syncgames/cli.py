@@ -114,17 +114,15 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    lift, takes_T = sz.TRANSFORMS[args.transform]
     base_doc = _read_json(args.base)
-    doc = {"transform": args.transform, "params": {}, "base": base_doc}
-    if args.transform in ("answer_reduce", "gapless_compress"):
-        if args.T is None:
-            raise CliError(f"{args.transform} requires --T")
-        doc["params"]["T"] = args.T
+    params = {"T": args.T} if takes_T else {}  # a missing --T is refused as T null
+    doc = {"transform": args.transform, "params": params, "base": base_doc}
     if args.lift:
-        if args.transform not in ("oracularize", "introspect"):
+        if lift is None:
             raise CliError(
-                "lifted strategies over proof-indexed question spaces are too"
-                " large to serialize; --lift supports oracularize/introspect"
+                f"{args.transform} has no --lift: lifted strategies over proof-indexed"
+                " question spaces are too large to serialize"
             )
         if not args.lift_out:
             raise CliError("--lift requires --lift-out")
@@ -132,8 +130,7 @@ def _cmd_transform(args) -> int:
     if args.lift:
         base_game, base_honest = sz.game_from_doc(base_doc)
         strategy = _load_strategy(args.lift, base_game, base_honest)
-        lift = tr.lift_oracularize if args.transform == "oracularize" else tr.lift_introspection
-        lifted = lift(base_game, strategy)
+        lifted = getattr(tr, lift)(base_game, strategy)
     _write(sz.dumps(doc), args.out)
     if args.lift:
         _write(sz.dumps(sz.strategy_to_doc(lifted, list(game.questions))), args.lift_out)
@@ -156,12 +153,12 @@ def _cmd_cooklevin(args) -> int:
                 args.out,
             )
         return 0
-    if args.action == "witness":
-        bits = [int(ch) for ch in args.w]
-        assignment = witness_to_assignment(machine, args.T, bits)
-        _write(sz.dumps(sz.assignment_to_doc(assignment)), args.out)
-        return 0
-    raise CliError(f"unknown cooklevin action {args.action}")  # pragma: no cover
+    # witness
+    if not args.w or set(args.w) - {"0", "1"}:
+        raise CliError(f"--w must be a nonempty string of 0s and 1s, got {args.w!r}")
+    assignment = witness_to_assignment(machine, args.T, [int(ch) for ch in args.w])
+    _write(sz.dumps(sz.assignment_to_doc(assignment)), args.out)
+    return 0
 
 
 def _cmd_seesaw(args) -> int:
@@ -231,11 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rigidity)
 
     p = sub.add_parser("transform", help="transform a game document")
-    p.add_argument(
-        "--transform",
-        required=True,
-        choices=("oracularize", "introspect", "answer_reduce", "gapless_compress"),
-    )
+    p.add_argument("--transform", required=True, choices=tuple(sz.TRANSFORMS))
     p.add_argument("--base", required=True)
     p.add_argument("--T", type=int)
     p.add_argument("--lift", help="base strategy JSON path or 'honest'")

@@ -20,7 +20,6 @@ of the tableau size for a fixed machine.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,38 +80,6 @@ class TuringMachine:
             for s in SYMBOLS:
                 if self.transition[(halt, s)] != (halt, s, "S"):
                     raise ValueError("accept/reject states must be absorbing")
-
-    def encode(self) -> str:
-        delta = [
-            [q, s, *self.transition[(q, s)]]
-            for q in self.states
-            for s in SYMBOLS
-        ]
-        return json.dumps(
-            {
-                "states": list(self.states),
-                "start": self.start,
-                "accept": self.accept,
-                "reject": self.reject,
-                "delta": delta,
-            },
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def decode(cls, text: str) -> "TuringMachine":
-        doc = json.loads(text) if isinstance(text, str) else text
-        delta = {}
-        for q, s, q2, s2, mv in doc["delta"]:
-            key_s = s if s == BLANK else int(s)
-            delta[(q, key_s)] = (q2, s2 if s2 == BLANK else int(s2), mv)
-        return cls(
-            states=tuple(doc["states"]),
-            start=doc["start"],
-            accept=doc["accept"],
-            reject=doc["reject"],
-            transition=delta,
-        )
 
 
 def _absorbing(state: str) -> dict:
@@ -324,13 +291,16 @@ class TableauLayout:
 
 @dataclass
 class CNF:
-    """3SAT formula: clauses are width-3 tuples of signed 1-based indices."""
+    """3SAT formula: clauses are width-3 tuples of signed 1-based indices,
+    checked unless the formula carries the TableauLayout it was compiled from."""
 
     num_vars: int
     clauses: list[tuple[int, int, int]]
     layout: TableauLayout | None = None
 
     def __post_init__(self):
+        if self.layout is not None:
+            return
         for c in self.clauses:
             if len(c) != 3:
                 raise ValueError("clauses must have width exactly 3")
@@ -500,10 +470,7 @@ def clause_access(machine: TuringMachine, T: int, R: int, i: int, j: int, k: int
     Returns the matching clauses (deduplicated, in family order) or None
     when no clause fits.  Runs without materializing the formula.
     """
-    layout = TableauLayout(machine, T, R)
-    for v in (i, j, k):
-        if not 1 <= v <= layout.num_vars:
-            raise IndexError(f"variable {v} out of range 1..{layout.num_vars}")
+    layout = TableauLayout(machine, T, R)  # var_info refuses an index out of range
     return list(dict.fromkeys(_generate_clauses(layout, {i, j, k}))) or None
 
 

@@ -506,29 +506,33 @@ def table_game(
     """Tiny explicit game: listed nontrivial pairs with accept-sets.
 
     accept maps each listed ordered pair (x, y) to the accepted answer
-    pairs (a, b); unlisted pairs are trivial.  Diagonal pairs are refused:
-    the game accepts exactly a = b there.
+    pairs (a, b); unlisted pairs are trivial.  Diagonal pairs are refused
+    (the game accepts exactly a = b there), as are questions without
+    answers, pairs naming other questions and listed pairs without accept sets.
     """
     questions = list(questions)
+    for x in questions:
+        if x not in answers:
+            raise ValueError(f"table question {x!r} has no answer list")
     answers = {x: tuple(answers[x]) for x in questions}
     nontrivial_pairs = list(nontrivial_pairs)
     for x, y in nontrivial_pairs + list(accept):
         if x == y:
             raise ValueError(f"table lists the diagonal pair {(x, y)!r}; it always accepts a = b")
-    listed = set()
-    for x, y in nontrivial_pairs:
-        listed.add((x, y))
-        listed.add((y, x))
+        if x not in answers or y not in answers:
+            raise ValueError(f"table pair {(x, y)!r} names a question not in the table")
     accept_sets = {}
     for (x, y), pairs in accept.items():
         accept_sets[(x, y)] = frozenset(pairs)
         accept_sets.setdefault((y, x), frozenset((b, a) for a, b in pairs))
+    for pair in nontrivial_pairs:
+        if pair not in accept_sets:
+            raise ValueError(f"nontrivial pair {pair!r} has no accept set")
+    listed = {p for x, y in nontrivial_pairs for p in ((x, y), (y, x))}
 
     def rule(x, y):
         if (x, y) not in listed:
             return None
-        if (x, y) not in accept_sets:
-            raise ValueError(f"nontrivial pair {(x, y)!r} has no accept set")
         ok = accept_sets[(x, y)]
         return np.array([[(a, b) in ok for b in answers[y]] for a in answers[x]], dtype=bool)
 

@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from . import transform as tr
 from .algebra import DEFAULT_TOL, Measurement
 from .builtins import (
     consistency_game,
@@ -22,7 +23,7 @@ from .builtins import (
     trivial_game,
     two_of_n_ms,
 )
-from .cooklevin import CNF, Assignment, TuringMachine
+from .cooklevin import BLANK, CNF, SYMBOLS, Assignment, TuringMachine
 from .games import EvaluationReport, Game, SynchronousStrategy, table_game
 from .rigidity import ResidualReport
 
@@ -49,45 +50,56 @@ __all__ = [
 # strategy (dimension 4^n for the Magic Square families) at desk scale.
 BUILTIN_GAMES = {
     "magic_square": (magic_square, None, None, None),
-    "two_of_n_ms": (two_of_n_ms, "n", range(2, 5), None),
+    "two_of_n_ms": (two_of_n_ms, "n", (2, 3, 4), None),
     "question_sampling": (question_sampling, "n", (2, 4), None),
-    "trivial": (trivial_game, "l", range(0, 9), 2),
-    "consistency": (consistency_game, "l", range(0, 9), 2),
-    "forbidden_pair": (forbidden_pair_game, "l", range(1, 9), 2),
+    "trivial": (trivial_game, "l", tuple(range(9)), 2),
+    "consistency": (consistency_game, "l", tuple(range(9)), 2),
+    "forbidden_pair": (forbidden_pair_game, "l", tuple(range(1, 9)), 2),
 }
 
+# transform name -> (name of the honest lift `transform --lift` writes, or
+# None where the lifted question space is proof-indexed and too large to
+# serialize; whether the document takes a time budget T).  Both name functions
+# of `transform`, looked up per call so wrappers installed there see each call.
+TRANSFORMS = {
+    "oracularize": ("lift_oracularize", False),
+    "introspect": ("lift_introspection", False),
+    "answer_reduce": (None, True),
+    "gapless_compress": (None, True),
+}
 
-def _field(doc: dict, kind: str, name: str):
-    """doc[name], or a ValueError naming the document kind and the field."""
-    if not isinstance(doc, dict) or name not in doc:
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+_REQUIRED = object()
+
+
+def _field(doc, kind: str, name: str, type_: type, allowed=None, default=_REQUIRED):
+    """doc[name], checked to be of JSON type type_ (an integer is never a
+    bool or a float) and, when given, in allowed.  An absent field reads as
+    default and is checked like a given one (so default=None requires it,
+    with its bounds in the message); with no default it is refused.  Every
+    refusal is a ValueError naming the document kind and the field."""
+    if type(doc) is not dict:
+        raise ValueError(f"{kind} document must be an object, got {doc!r:.60}")
+    if default is _REQUIRED and name not in doc:
         raise ValueError(f"{kind} document needs field {name!r}")
-    return doc[name]
+    value = doc.get(name, default)
+    if type(value) is not type_ or (allowed is not None and value not in allowed):
+        expect = _JSON_TYPES[type_]
+        if isinstance(allowed, range):
+            expect += f" in {allowed.start}..{allowed.stop - 1}"
+        elif allowed is not None:
+            expect += " in {" + ", ".join(map(str, allowed)) + "}"
+        raise ValueError(f"{kind} field {name!r} must be {expect}, got {value!r:.60}")
+    return value
 
 
-def _builtin_game(spec: dict):
-    """Build a builtin game from its document.  The size field must be a
-    JSON integer (not a bool, float or string) that BUILTIN_GAMES allows."""
-    kind = _field(spec, "builtin", "kind")
-    if kind not in BUILTIN_GAMES:
-        raise ValueError(f"unknown builtin game kind {kind!r}")
-    build, field, allowed, default = BUILTIN_GAMES[kind]
-    if field is None:
-        return build()
-    size = spec.get(field, default)
-    if type(size) is not int or size not in allowed:
-        span = ", ".join(map(str, allowed))
-        raise ValueError(f"{kind} field {field!r} must be an integer in {{{span}}}, got {size!r}")
-    return build(size)
-
-
-def _time_budget(transform: str, params) -> int:
-    """The time budget T of a transform document: a JSON integer (not a
-    bool, float or string) in 1..64.  A proof has about 14 T^2 variables;
-    tests, demos and benchmarks use 2..8."""
-    T = params.get("T") if isinstance(params, dict) else None
-    if type(T) is not int or not 1 <= T <= 64:
-        raise ValueError(f"{transform} field 'T' must be an integer in 1..64, got {T!r}")
-    return T
+def _labels(kind: str, name: str, value, length=None) -> tuple:
+    """An array in field `name` (JSON, or a tuple `_uncanon` read from one), of
+    `length` entries if given, as a tuple of labels."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = f" of {length}" if length else ""
+        raise ValueError(f"{kind} field {name!r} holds {value!r:.60}, not an array{size}")
+    return tuple(map(_uncanon, value))
 
 
 _NON_FINITE = "cannot serialize non-finite numbers"
@@ -162,11 +174,14 @@ def matrix_to_doc(op: np.ndarray) -> dict:
 
 
 def matrix_from_doc(doc: dict) -> np.ndarray:
-    d = int(doc["dim"])
-    re = np.array(doc["re"], dtype=float)
-    im = np.array(doc["im"], dtype=float)
-    if re.shape != (d, d) or im.shape != (d, d):
-        raise ValueError("matrix document shape mismatch")
+    d = _field(doc, "matrix", "dim", int)
+    re, im = (_field(doc, "matrix", name, list) for name in ("re", "im"))
+    try:  # ragged nesting raises
+        re, im = np.array(re), np.array(im)
+    except ValueError:
+        re = im = np.array(None)
+    if any(part.dtype.kind not in "if" or part.shape != (d, d) for part in (re, im)):
+        raise ValueError(f"matrix fields 're' and 'im' must be {d} x {d} arrays of numbers")
     return re + 1j * im
 
 
@@ -180,9 +195,9 @@ def measurement_to_doc(m: Measurement) -> dict:
 
 def measurement_from_doc(doc: dict) -> Measurement:
     return Measurement(
-        tuple(_uncanon(lab) for lab in doc["labels"]),
-        [matrix_from_doc(e) for e in doc["elements"]],
-        kind=doc["kind"],
+        tuple(_uncanon(lab) for lab in _field(doc, "measurement", "labels", list)),
+        [matrix_from_doc(e) for e in _field(doc, "measurement", "elements", list)],
+        kind=_field(doc, "measurement", "kind", str),
     )
 
 
@@ -202,17 +217,19 @@ def strategy_from_doc(doc: dict, game: Game) -> SynchronousStrategy:
     Each measurement must sum to the identity within DEFAULT_TOL.eps;
     projectivity is left to exact evaluation, which checks it anyway.
     """
+    dim = _field(doc, "strategy", "dim", int)
+    raw = _field(doc, "strategy", "measurements", dict)
     table = {}
-    raw = doc["measurements"]
     for x in game.questions:
-        key = label_key(x)
-        if key not in raw:
-            raise ValueError(f"strategy document misses question {key}")
-        m = Measurement(
-            game.answers(x),
-            [matrix_from_doc(e) for e in raw[key]],
-            kind="projective",
-        )
+        key, answers = label_key(x), game.answers(x)
+        elements = raw.get(key)
+        if type(elements) is not list or len(elements) != len(answers):
+            raise ValueError(
+                f"strategy field 'measurements' needs {len(answers)} matrices for question {key}"
+            )
+        m = Measurement(answers, [matrix_from_doc(e) for e in elements], kind="projective")
+        if m.dim != dim:
+            raise ValueError(f"strategy field 'dim' is {dim}; question {key} has dimension {m.dim}")
         total = np.sum(m.elements, axis=0)
         if np.abs(total - np.eye(m.dim)).max() > DEFAULT_TOL.eps:
             raise ValueError(
@@ -220,7 +237,7 @@ def strategy_from_doc(doc: dict, game: Game) -> SynchronousStrategy:
                 " its elements do not sum to the identity"
             )
         table[x] = m
-    return SynchronousStrategy(int(doc["dim"]), table)
+    return SynchronousStrategy(dim, table)
 
 
 def game_from_doc(doc: dict):
@@ -230,42 +247,42 @@ def game_from_doc(doc: dict):
     descriptor {"transform": name, "params": {...}, "base": doc} applied
     recursively.
     """
+    if type(doc) is not dict or not {"builtin", "table", "transform"} & doc.keys():
+        raise ValueError("game document needs 'builtin', 'table' or 'transform'")
     if "builtin" in doc:
-        return _builtin_game(doc["builtin"])
+        spec = doc["builtin"]
+        kind = _field(spec, "builtin", "kind", str, BUILTIN_GAMES)
+        build, size, allowed, default = BUILTIN_GAMES[kind]
+        return build() if size is None else build(_field(spec, kind, size, int, allowed, default))
     if "table" in doc:
         spec = doc["table"]
-        questions = [_uncanon(q) for q in _field(spec, "table", "questions")]
-        answers = {
-            _uncanon(json.loads(k)): tuple(_uncanon(a) for a in v)
-            for k, v in _field(spec, "table", "answers").items()
-        }
-        pairs = [
-            tuple(_uncanon(q) for q in pair)
-            for pair in _field(spec, "table", "nontrivial_pairs")
-        ]
-        accept = {}
-        for key, pairs_doc in _field(spec, "table", "accept").items():
-            x, y = (_uncanon(part) for part in json.loads(key))
-            accept[(x, y)] = [
-                (_uncanon(a), _uncanon(b)) for a, b in pairs_doc
-            ]
-        return table_game(spec.get("name", "table"), questions, answers, pairs, accept), None
-    if "transform" in doc:
-        from . import transform as tr
-
-        base, _ = game_from_doc(_field(doc, "transform", "base"))
-        params = doc.get("params", {})
-        name = doc["transform"]
-        if name == "oracularize":
-            return tr.oracularize(base), None
-        if name == "introspect":
-            return tr.introspect(base), None
-        if name == "answer_reduce":
-            return tr.answer_reduce(base, _time_budget(name, params)), None
-        if name == "gapless_compress":
-            return tr.gapless_compress(base, _time_budget(name, params)), None
-        raise ValueError(f"unknown transform {name!r}")
-    raise ValueError("game document needs 'builtin', 'table' or 'transform'")
+        try:
+            answers = {
+                _uncanon(json.loads(k)): _labels("table", "answers", v)
+                for k, v in _field(spec, "table", "answers", dict).items()
+            }
+            accept = {
+                _labels("table", "accept", json.loads(k), 2):
+                    [_labels("table", "accept", ab, 2) for ab in _labels("table", "accept", v)]
+                for k, v in _field(spec, "table", "accept", dict).items()
+            }
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"table key {exc.doc!r} in 'answers' or 'accept' isn't JSON") from None
+        pairs = _field(spec, "table", "nontrivial_pairs", list)
+        return table_game(
+            _field(spec, "table", "name", str, default="table"),
+            [_uncanon(q) for q in _field(spec, "table", "questions", list)],
+            answers,
+            [_labels("table", "nontrivial_pairs", pair, 2) for pair in pairs],
+            accept,
+        ), None
+    name = _field(doc, "transform", "transform", str, TRANSFORMS)
+    params = _field(doc, "transform", "params", dict, default={})
+    _, takes_T = TRANSFORMS[name]
+    # a proof has about 14 T^2 variables; tests, demos and benchmarks use T in 2..8
+    T = [_field(params, name, "T", int, range(1, 65), None)] if takes_T else []
+    base, _ = game_from_doc(_field(doc, "transform", "base", dict))
+    return getattr(tr, name)(base, *T), None
 
 
 def report_to_doc(report: EvaluationReport) -> dict:
@@ -301,8 +318,26 @@ def cnf_to_dimacs(cnf: CNF) -> str:
 
 
 def machine_to_doc(machine: TuringMachine) -> dict:
-    return json.loads(machine.encode())
+    return {
+        "states": list(machine.states),
+        "start": machine.start,
+        "accept": machine.accept,
+        "reject": machine.reject,
+        "delta": [[q, s, *machine.transition[(q, s)]] for q in machine.states for s in SYMBOLS],
+    }
 
 
-def machine_from_doc(doc) -> TuringMachine:
-    return TuringMachine.decode(doc if isinstance(doc, str) else json.dumps(doc))
+def machine_from_doc(doc: dict) -> TuringMachine:
+    """Machine from its document; tape symbols 0 and 1 may be JSON
+    integers or strings, the blank is "_"."""
+    delta = {}
+    for entry in _field(doc, "machine", "delta", list):
+        q, s, q2, s2, move = _labels("machine", "delta", entry, 5)
+        delta[(q, s if s == BLANK else int(s))] = (q2, s2 if s2 == BLANK else int(s2), move)
+    return TuringMachine(
+        states=tuple(_field(doc, "machine", "states", list)),
+        start=_field(doc, "machine", "start", str),
+        accept=_field(doc, "machine", "accept", str),
+        reject=_field(doc, "machine", "reject", str),
+        transition=delta,
+    )

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from syncgames.cli import run
-from syncgames.cooklevin import always_accept_machine
+from syncgames.cooklevin import always_accept_machine, equality_machine
 from syncgames.serialize import dumps, machine_to_doc
 
 
@@ -222,6 +222,33 @@ class TestTransform:
         assert not out.exists()
         assert not (tmp_path / "lift.json").exists()
 
+    def test_oracularize_descriptor_through_eval(self, tmp_path):
+        base = tmp_path / "ms.json"
+        base.write_text(dumps({"builtin": {"kind": "magic_square"}}))
+        game, lift, report = tmp_path / "orac.json", tmp_path / "lift.json", tmp_path / "r.json"
+        rc = run(["transform", "--transform", "oracularize", "--base", str(base), "--out", str(game),
+                  "--lift", "honest", "--lift-out", str(lift)])
+        assert rc == 0
+        assert json.loads(read(game)) == {
+            "transform": "oracularize", "params": {}, "base": {"builtin": {"kind": "magic_square"}},
+        }
+        assert run(["eval", "--game", str(game), "--strategy", str(lift), "--out", str(report)]) == 0
+        assert json.loads(read(report))["value"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_unknown_transform_refused(self, tmp_path, capsys):
+        base = tmp_path / "base.json"
+        base.write_text(dumps({"builtin": {"kind": "trivial"}}))
+        assert run(["transform", "--transform", "nope", "--base", str(base)]) == 2
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"transform": "nope", "base": {"builtin": {"kind": "trivial"}}}))
+        capsys.readouterr()
+        assert run(["eval", "--game", str(path), "--strategy", "honest"]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: transform field 'transform' must be a string in {oracularize, introspect,"
+            " answer_reduce, gapless_compress}, got 'nope'\n"
+        )
+
     def test_answer_reduce_requires_T(self, tmp_path):
         base = tmp_path / "base.json"
         base.write_text(dumps({"builtin": {"kind": "consistency", "l": 2}}))
@@ -413,6 +440,31 @@ class TestCooklevin:
         )
         assert rc == 0
         assert read(out) == "null\n"
+
+    def test_clause_matches_compiled_formula(self, tmp_path):
+        """A triple's clauses are the DIMACS clauses whose variables all lie
+        in it, deduplicated, in formula order."""
+        machine = tmp_path / "eq.json"
+        machine.write_text(dumps(machine_to_doc(equality_machine())))
+        args = ["--machine", str(machine), "--T", "2", "--R", "2"]
+        formula, out = tmp_path / "f.cnf", tmp_path / "c.txt"
+        assert run(["cooklevin", "compile", *args, "--out", str(formula)]) == 0
+        clauses = [tuple(map(int, line.split()[:-1])) for line in read(formula).splitlines()[1:]]
+        triple = next(vs for vs in (sorted({abs(l) for l in c}) for c in clauses) if len(vs) == 3)
+        want = list(dict.fromkeys(c for c in clauses if {abs(l) for l in c} <= set(triple)))
+        assert len(want) > 1
+        i, j, k = map(str, triple)
+        assert run(["cooklevin", "clause", *args, "--i", i, "--j", j, "--k", k,
+                    "--out", str(out)]) == 0
+        assert read(out) == "".join(" ".join(map(str, c)) + "\n" for c in want)
+
+    @pytest.mark.parametrize("w", ["12", "", "0a"])
+    def test_witness_bits_refused(self, machine_file, capsys, w):
+        rc = run(["cooklevin", "witness", "--machine", str(machine_file), "--T", "2", "--w", w])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --w must be a nonempty string of 0s and 1s, got {w!r}\n"
+        )
 
     def test_witness(self, machine_file, tmp_path):
         out = tmp_path / "w.json"

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import time
 
 import numpy as np
@@ -28,7 +29,7 @@ from syncgames.cooklevin import (
     tableau_assignment,
     witness_to_assignment,
 )
-from syncgames.serialize import cnf_to_dimacs
+from syncgames.serialize import cnf_to_dimacs, machine_from_doc, machine_to_doc
 
 
 def parity_machine() -> TuringMachine:
@@ -278,6 +279,16 @@ class TestAssignments:
             assert not ok
             assert violated in cnf.clauses
 
+    @pytest.mark.parametrize(
+        "clauses, message",
+        [([(1, 2)], "width exactly 3"), ([(1, 0, 2)], "literal 0 out of range"),
+         ([(1, 2, -4)], "literal -4 out of range")],
+        ids=["width", "zero_literal", "beyond_num_vars"],
+    )
+    def test_hand_built_formula_checked(self, clauses, message):
+        with pytest.raises(ValueError, match=message):
+            CNF(3, clauses)
+
     def test_length_mismatch_rejected(self):
         cnf = CNF(3, [])
         with pytest.raises(ValueError):
@@ -401,7 +412,4 @@ class TestMachines:
 
     def test_encode_decode_round_trip(self):
         m = equality_machine()
-        again = TuringMachine.decode(m.encode())
-        assert again == m or (
-            again.states == m.states and again.transition == m.transition
-        )
+        assert machine_from_doc(json.loads(json.dumps(machine_to_doc(m)))) == m

@@ -1,0 +1,154 @@
+"""Mutated input documents: every mutant of a small valid document of each
+kind either loads as before or exits 1 with one ``error:`` line, in under
+a second, and a dropped or retyped field of the document's own object is
+named, with the document kind, in that line."""
+
+import contextlib
+import copy
+import io
+import json
+import time
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from syncgames.builtins import magic_square
+from syncgames.cli import run
+from syncgames.cooklevin import equality_machine
+from syncgames.serialize import dumps, machine_to_doc, strategy_to_doc
+
+TABLE = {
+    "name": "pair",
+    "questions": ["x", "y"],
+    "answers": {'"x"': [0, 1], '"y"': [0, 1]},
+    "nontrivial_pairs": [["x", "y"]],
+    "accept": {'["x","y"]': [[0, 0], [1, 1]]},
+}
+ONE = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
+ZERO = {"dim": 1, "re": [[0.0]], "im": [[0.0]]}
+EVAL_HONEST = ["eval", "--game", "{mutant}", "--strategy", "honest", "--sample", "10",
+               "--seed", "1", "--out", "{out}"]
+
+# kind -> (valid document, path of the kind's own object in it, the words
+# that name the kind in a message, argv that loads the document)
+DOCS = {
+    "builtin": ({"builtin": {"kind": "consistency", "l": 2}}, ("builtin",),
+                ("builtin", "consistency"), EVAL_HONEST),
+    "table": ({"table": TABLE}, ("table",), ("table",),
+              ["eval", "--game", "{mutant}", "--strategy", "{table_strategy}", "--out", "{out}"]),
+    # a transform with a nested base; eval refuses it for want of an honest
+    # strategy once it loads
+    "transform": ({"transform": "answer_reduce", "params": {"T": 3},
+                   "base": {"builtin": {"kind": "consistency", "l": 2}}}, (),
+                  ("transform", "answer_reduce"), EVAL_HONEST),
+    "strategy": (json.loads(dumps(strategy_to_doc(magic_square()[1]))), (), ("strategy",),
+                 ["eval", "--game", "{ms_game}", "--strategy", "{mutant}", "--out", "{out}"]),
+    "machine": (machine_to_doc(equality_machine()), (), ("machine",),
+                ["cooklevin", "compile", "--machine", "{mutant}", "--T", "2", "--R", "2",
+                 "--out", "{out}"]),
+}
+
+# A dropped "params" leaves answer_reduce without its time budget, and the
+# message names the missing "T" inside it.
+NAMED = {("transform", "params"): ("'params'", "'T'")}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("documents")
+    paths = {name: d / f"{name}.json" for name in ("mutant", "out", "table_strategy", "ms_game")}
+    paths["table_strategy"].write_text(json.dumps(
+        {"dim": 1, "measurements": {'"x"': [ONE, ZERO], '"y"': [ONE, ZERO]}}
+    ))
+    paths["ms_game"].write_text(json.dumps({"builtin": {"kind": "magic_square"}}))
+    return {name: str(p) for name, p in paths.items()}
+
+
+def paths(node, prefix=()):
+    """The path of every value below node, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from paths(child, prefix + (key,))
+
+
+def json_type(value) -> str:
+    return "integer" if type(value) is int else type(value).__name__
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                    st.floats(-2, 2, allow_nan=False), st.text(max_size=3))
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=2),
+                   st.dictionaries(st.text(max_size=2), SCALARS, max_size=1))
+
+
+@st.composite
+def mutants(draw, kind):
+    """(mutated document, path of the mutated value, "drop"/"retype"/"resize")."""
+    doc = copy.deepcopy(DOCS[kind][0])
+    path = draw(st.sampled_from(list(paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, old = path[-1], parent[path[-1]]
+    op = draw(st.sampled_from(["drop", "retype", "resize"]))
+    if op == "drop":
+        del parent[key]
+    elif op == "retype":
+        parent[key] = draw(VALUES.filter(lambda v: json_type(v) != json_type(old)))
+    elif type(old) is bool:
+        parent[key] = not old
+    elif isinstance(old, (int, float)):
+        parent[key] = old + draw(st.sampled_from([-2, -1, 1, 2, -1000, 1000]))
+    elif isinstance(old, str):
+        parent[key] = draw(st.sampled_from([old[:-1], old + "x"]))
+    elif isinstance(old, list):
+        parent[key] = draw(st.sampled_from([old[:-1], old + old[-1:], []]))
+    else:
+        grown = {**old, draw(st.sampled_from(['"z"', "z", "[1,2]"])): draw(VALUES)}
+        shrunk = dict(list(old.items())[:-1])
+        parent[key] = draw(st.sampled_from([grown, shrunk]))
+    return doc, path, op
+
+
+def check_mutant(files, kind, doc, path, op) -> list[str]:
+    """Run the kind's command on doc; return its stderr lines."""
+    _, own, kind_words, argv = DOCS[kind]
+    with open(files["mutant"], "w") as fh:
+        json.dump(doc, fh)
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run([a.format(**files) for a in argv])
+    assert time.perf_counter() - start < 1.0
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+        return lines
+    assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: "), (rc, lines)
+    if op != "resize" and len(path) == len(own) + 1 and path[:-1] == own:
+        field = path[-1]
+        names = NAMED.get((kind, field), (repr(field),))
+        assert any(n in lines[0] for n in names), lines
+        assert any(k in lines[0] for k in kind_words), lines
+    return lines
+
+
+@pytest.mark.parametrize("kind", sorted(DOCS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutant_loads_or_exits_1(files, kind, data):
+    doc, path, op = data.draw(mutants(kind))
+    check_mutant(files, kind, doc, path, op)
+
+
+@pytest.mark.parametrize("field, value", [("answers", []), ("accept", 5)])
+def test_table_field_of_wrong_type(files, field, value):
+    # both ended in an AttributeError traceback before every field was
+    # read through one checked accessor
+    doc = {"table": {**TABLE, field: value}}
+    lines = check_mutant(files, "table", doc, ("table", field), "retype")
+    assert lines == [f"error: table field {field!r} must be an object, got {value!r}"]

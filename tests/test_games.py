@@ -454,6 +454,29 @@ class TestTableGame:
         with pytest.raises(ValueError, match=r"diagonal pair \('x', 'x'\)"):
             table_game("diag", ["x", "y"], {"x": (0, 1), "y": (0, 1)}, listed, accept)
 
+    XY = {"x": (0, 1), "y": (0, 1)}
+
+    @pytest.mark.parametrize(
+        "answers, listed, accept, message",
+        [
+            ({"x": (0, 1)}, [], {}, r"table question 'y' has no answer list"),
+            (XY, [("x", "z")], {("x", "z"): [(0, 0)]},
+             r"table pair \('x', 'z'\) names a question not in the table"),
+            (XY, [("x", "y")], {("x", "y"): [(0, 0)], ("z", "y"): [(0, 0)]},
+             r"table pair \('z', 'y'\) names a question not in the table"),
+            (XY, [("x", "y")], {}, r"nontrivial pair \('x', 'y'\) has no accept set"),
+        ],
+        ids=["no_answer_list", "unknown_pair_question", "unknown_accept_question",
+             "no_accept_set"],
+    )
+    def test_malformed_tables_refused(self, answers, listed, accept, message):
+        with pytest.raises(ValueError, match=message):
+            table_game("bad", ["x", "y"], answers, listed, accept)
+
+    def test_accept_set_given_for_the_reversed_pair(self):
+        game = table_game("rev", ["x", "y"], self.XY, [("x", "y")], {("y", "x"): [(0, 1)]})
+        assert game.accept_mask("x", "y").tolist() == [[False, False], [True, False]]
+
     def test_trivial_and_forbidden_builtins(self):
         gt, st = trivial_game(2)
         assert value(gt, st).value == 1.0

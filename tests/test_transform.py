@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from syncgames.games import (
 )
 from syncgames.algebra import DEFAULT_TOL, Measurement, bitstrings
 from syncgames.optimize import haar_unitary, perturb_strategy
+from syncgames.serialize import machine_to_doc
 from syncgames.transform import (
     BudgetError,
     IndexMaps,
@@ -361,9 +363,9 @@ class TestSynthesizedDeciders:
         sizes.add(len(decider.machine_for((0, 0), (0, 0)).states))
         assert len(sizes) == 1
 
-    # sha256 of the state count, then "x|y|machine_for(x, y).encode()" per
-    # nontrivial pair in enumeration order (computed before machines with
-    # the same projection were shared)
+    # sha256 of the state count, then "x|y|<machine document as compact
+    # JSON>" per nontrivial pair in enumeration order (computed before
+    # machines with the same projection were shared)
     DECIDER_DIGESTS = {
         "consistency": "3fdaa7e1a4237d024002fa1ea10f67cad628d06b617dd6c9594c208e3be74c51",
         "forbidden_pair": "7ae584ea0e9a41f02a4266279375ca6df0b5082c368d6e84ddcccbe090be4ef5",
@@ -380,7 +382,7 @@ class TestSynthesizedDeciders:
         for x, y in game.nontrivial_pairs():
             machine = decider.machine_for(x, y)
             if id(machine) not in encoded:
-                encoded[id(machine)] = machine.encode()
+                encoded[id(machine)] = json.dumps(machine_to_doc(machine), separators=(",", ":"))
             digest.update(f"{x!r}|{y!r}|{encoded[id(machine)]}\n".encode())
         assert digest.hexdigest() == self.DECIDER_DIGESTS[name]
 
