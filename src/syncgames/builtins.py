@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .algebra import Measurement, bitstrings
-from .games import Game, SynchronousStrategy, _transposed
+from .games import Game, SynchronousStrategy, _identity_part, _kron_measurement, _transposed
 
 __all__ = [
     "magic_square",
@@ -179,22 +179,6 @@ def _two_of_n_rule(q, r):
     return mask.reshape(sizes[0] * sizes[1], sizes[2] * sizes[3])
 
 
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron for square matrices without the generic-shape overhead."""
-    na, nb = a.shape[0], b.shape[0]
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(na * nb, na * nb)
-
-
-def _place(ops: dict, n: int) -> np.ndarray:
-    """Kronecker chain over n copies of C^4 with identities by default."""
-    out = np.ones((1, 1), dtype=complex)
-    eye = np.eye(4, dtype=complex)
-    for c in range(1, n + 1):
-        out = _kron2(out, ops.get(c, eye))
-    return out
-
-
 def _two_of_n_questions(n: int) -> list:
     return [
         (i, j, x, y)
@@ -260,19 +244,23 @@ def two_of_n_ms(n: int) -> tuple[Game, SynchronousStrategy]:
         nontrivial_pairs=lambda: _two_of_n_pairs_iter(n),
     )
     ms_meas = _ms_honest_measurements()
+    eye = _identity_part(4)
 
-    def build(q):
+    def factors(q):
+        """Copies i and j carry the Magic Square measurements of x and y."""
         i, j, x, y = q
-        labels = []
-        elements = []
+        parts = [eye] * n
+        parts[i - 1], parts[j - 1] = ms_meas[x], ms_meas[y]
+        index = {}
         for a, b in _two_of_n_answers(q):
-            labels.append((a, b))
-            elements.append(
-                _place({i: ms_meas[x].element(a), j: ms_meas[y].element(b)}, n)
-            )
-        return Measurement(tuple(labels), elements, kind="projective")
+            row = [None] * n
+            row[i - 1], row[j - 1] = a, b
+            index[(a, b)] = tuple(row)
+        return parts, index
 
-    strategy = SynchronousStrategy(4**n, build, cache_size=64)
+    strategy = SynchronousStrategy(
+        4**n, lambda q: _kron_measurement(*factors(q)), cache_size=64, factors=factors
+    )
     return game, strategy
 
 
@@ -363,29 +351,35 @@ def question_sampling(n: int) -> tuple[Game, SynchronousStrategy]:
 
     ms_meas = _ms_honest_measurements()
     _, base_strategy = two_of_n_ms(n)
+    eye = _identity_part(4)
+    half = n // 2
+    # one part per sampled copy c: the product of the two cross-checking
+    # variables' projectors at bits (2c - 1, 2c) of the string
+    pair_parts = {
+        (first, second): Measurement(
+            tuple(bitstrings(2)),
+            [ms_meas[first].elements[b] @ ms_meas[second].elements[c] for b, c in bitstrings(2)],
+            kind="projective",
+        )
+        for first, second in dict.fromkeys(_QS_ROWS.values())
+    }
 
-    def special_measurement(special):
-        first, second = _QS_ROWS[special]
-        offset = 0 if special.endswith("A") else n // 2
-        elements = []
+    def factors(q):
+        if q not in _QS_SPECIALS:
+            return base_strategy.factors(q)
+        offset = 0 if q.endswith("A") else half
+        parts = [eye] * n
+        parts[offset : offset + half] = [pair_parts[_QS_ROWS[q]]] * half
+        index = {}
         for y in strings:
-            ops = {}
-            for c in range(1, n // 2 + 1):
-                ops[offset + c] = (
-                    ms_meas[first].elements[y[2 * c - 2]]
-                    @ ms_meas[second].elements[y[2 * c - 1]]
-                )
-            elements.append(_place(ops, n))
-        return Measurement(strings, elements, kind="projective")
+            row = [None] * n
+            row[offset : offset + half] = [y[2 * c : 2 * c + 2] for c in range(half)]
+            index[y] = tuple(row)
+        return parts, index
 
-    specials = {s: special_measurement(s) for s in _QS_SPECIALS}
-
-    def build(q):
-        if q in _QS_SPECIALS:
-            return specials[q]
-        return base_strategy.measurement(q)
-
-    strategy = SynchronousStrategy(4**n, build, cache_size=64)
+    strategy = SynchronousStrategy(
+        4**n, lambda q: _kron_measurement(*factors(q)), cache_size=64, factors=factors
+    )
     return game, strategy
 
 

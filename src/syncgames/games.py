@@ -12,15 +12,20 @@ a boolean array that is False only where rule(questions[xi],
 questions[yi]) is None; sampled_value uses it to score the draws that
 cannot be engaged in bulk, without decoding their questions.  A
 synchronous strategy assigns one projective measurement per question on a
-common dimension; correlations are tr(M^x_a M^y_b)/dim.
+common dimension; correlations are tr(M^x_a M^y_b)/dim.  A strategy may
+also describe a question's measurement as a Kronecker product of small
+projective parts, one per tensor factor (see SynchronousStrategy).
 
 Exact and sampled evaluation read correlations from one place,
 StrategyEvaluator.cross_gram, which works in a per-question eigenbasis so
 each pair costs one d x d unitary product.  Building that eigenbasis
 checks that the measurement is projective within tol and carries the
-game's answer labels.  Exact evaluation walks only the nontrivial question
-pairs (trivial pairs contribute winning mass analytically); sampled
-evaluation draws answer pairs from the same cross-grams.
+game's answer labels.  The eigenbasis of a factored measurement is the
+Kronecker product of its parts' eigenbases, each diagonalized once per
+evaluator, so such a question is never densified.  Exact evaluation walks
+only the nontrivial question pairs (trivial pairs contribute winning mass
+analytically); sampled evaluation draws answer pairs from the same
+cross-grams.
 """
 
 from __future__ import annotations
@@ -165,6 +170,30 @@ class Game:
                     yield (x, y)
 
 
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron for square matrices without the generic-shape overhead."""
+    na, nb = a.shape[0], b.shape[0]
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(na * nb, na * nb)
+
+
+@functools.cache
+def _identity_part(dim: int) -> Measurement:
+    """The one-outcome part (label None) on a tensor factor left alone."""
+    return Measurement((None,), [np.eye(dim, dtype=complex)], kind="projective")
+
+
+def _kron_measurement(parts, index: dict) -> Measurement:
+    """Dense form of a factored measurement (see SynchronousStrategy)."""
+    elements = []
+    for row in index.values():
+        out = np.ones((1, 1), dtype=complex)
+        for part, label in zip(parts, row):
+            out = _kron2(out, part.element(label))
+        elements.append(out)
+    return Measurement(tuple(index), elements, kind="projective")
+
+
 class SynchronousStrategy:
     """One projective measurement per question on a common dimension.
 
@@ -172,12 +201,21 @@ class SynchronousStrategy:
     building measurements on demand (used by lifted strategies over
     question spaces too large to materialize); lazily built measurements
     are kept in a bounded cache.
+
+    factors, when given, maps a question to None (measured densely) or to
+    (parts, index): projective parts on the tensor factors in Kronecker
+    order, and a dict from each answer label, in answer order, to one label
+    per part.  Answer a's element is the Kronecker product of
+    parts[k].element(index[a][k]), which is what _kron_measurement builds and
+    measurement(x) must return.  Evaluation reads the parts only, so a
+    part object shared by many questions is diagonalized once.
     """
 
-    def __init__(self, dim: int, measurements, *, cache_size: int = 512):
+    def __init__(self, dim: int, measurements, *, cache_size: int = 512, factors=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = int(dim)
+        self.factors = factors
         if isinstance(measurements, dict):
             self._table = dict(measurements)
             self._builder = None
@@ -252,22 +290,30 @@ class EvaluationReport:
             )
 
 
+_NOT_PROJECTIVE = "measurement is not projective within tolerance"
+_NOT_COMPLETE = "measurement is not a complete projective family"
+_NOT_IDENTITY = "measurement does not sum to the identity"
+
+
+def _check_labels(labels: tuple, labels_expected) -> None:
+    if labels != tuple(labels_expected):
+        raise ValueError(f"measurement labels {labels!r} do not match game answers")
+
+
 class _EigenForm:
     """Joint eigenbasis of a projective measurement.
 
     Columns of u are grouped by outcome; group a spans the range of the
     projection for answer a.  Built with a single Hermitian
     eigendecomposition of sum_a (a_index + 1) M_a, whose eigenvalues must
-    be integers within tol.eps.
+    be integers within tol.eps, or, by product(), from the forms of a
+    factored measurement's parts without one.
     """
 
     __slots__ = ("u", "uh", "starts", "counts")
 
     def __init__(self, m: Measurement, labels_expected, tol: Tolerance):
-        if m.labels != tuple(labels_expected):
-            raise ValueError(
-                f"measurement labels {m.labels!r} do not match game answers"
-            )
+        _check_labels(m.labels, labels_expected)
         d = m.dim
         h = np.zeros((d, d), dtype=complex)
         for k, e in enumerate(m.elements):
@@ -275,17 +321,53 @@ class _EigenForm:
         w, v = np.linalg.eigh(h)
         idx = np.rint(w).astype(int)
         if np.abs(w - idx).max() > tol.eps:
-            raise ValueError("measurement is not projective within tolerance")
+            raise ValueError(_NOT_PROJECTIVE)
         if idx.min() < 0 or idx.max() > len(m.elements):
-            raise ValueError("measurement is not a complete projective family")
+            raise ValueError(_NOT_COMPLETE)
         counts = np.bincount(idx, minlength=len(m.elements) + 1)
         if counts[0] != 0:
-            raise ValueError("measurement does not sum to the identity")
-        order = np.argsort(idx, kind="stable")
-        self.u = np.ascontiguousarray(v[:, order])
+            raise ValueError(_NOT_IDENTITY)
+        self._set(v[:, np.argsort(idx, kind="stable")], counts[1:])
+
+    def _set(self, u: np.ndarray, counts: np.ndarray) -> None:
+        self.u = np.ascontiguousarray(u)
         self.uh = np.ascontiguousarray(self.u.conj().T)
-        self.counts = counts[1:]
+        self.counts = counts
         self.starts = np.concatenate(([0], np.cumsum(self.counts)))
+
+    @classmethod
+    def product(cls, parts: list, index: dict) -> "_EigenForm":
+        """Form of a factored measurement from (form, {label: group}) per part.
+
+        Its basis is the Kronecker product of the parts' bases, whose
+        columns belong to one part label each; index must give every column
+        exactly one answer, and the columns are regrouped by answer.
+        """
+        if any(len(row) != len(parts) for row in index.values()):
+            raise ValueError(_NOT_COMPLETE)
+        u = np.ones((1, 1), dtype=complex)
+        column = np.zeros(1, dtype=np.intp)  # mixed-radix part labels per column
+        rows = np.zeros(len(index), dtype=np.intp)  # the same, per answer
+        for k, (form, groups) in enumerate(parts):
+            u = _kron2(u, form.u)
+            group = np.repeat(np.arange(len(groups)), form.counts)
+            column = (column[:, None] * len(groups) + group).ravel()
+            try:
+                rows = rows * len(groups) + [groups[row[k]] for row in index.values()]
+            except KeyError:  # a row naming no outcome of part k
+                raise ValueError(_NOT_COMPLETE) from None
+        size = math.prod(len(groups) for _, groups in parts)
+        hits = np.bincount(rows, minlength=size)[column]
+        if (hits > 1).any():
+            raise ValueError(_NOT_COMPLETE)
+        if (hits == 0).any():
+            raise ValueError(_NOT_IDENTITY)
+        answer_of = np.empty(size, dtype=np.intp)
+        answer_of[rows] = np.arange(len(rows))
+        answer = answer_of[column]
+        form = cls.__new__(cls)
+        form._set(u[:, np.argsort(answer, kind="stable")], np.bincount(answer, minlength=len(rows)))
+        return form
 
 
 def _group_matrix(counts: np.ndarray, dim: int) -> np.ndarray:
@@ -306,14 +388,37 @@ class StrategyEvaluator:
         self.tol = tol
         self._forms: dict = {}
         self._groups: dict = {}
+        self._parts: dict = {}  # id(part) -> (part, its form, {label: group})
 
     def form(self, x) -> _EigenForm:
         try:
             return self._forms[x]
         except KeyError:
+            pass
+        spec = None if self.strategy.factors is None else self.strategy.factors(x)
+        if spec is None:
             f = _EigenForm(self.strategy.measurement(x), self.game.answers(x), self.tol)
-            self._forms[x] = f
-            return f
+        else:
+            parts, index = spec
+            _check_labels(tuple(index), self.game.answers(x))
+            f = _EigenForm.product([self._part(p) for p in parts], index)
+            if len(f.u) != self.strategy.dim:
+                raise ValueError(
+                    f"measurement for {x!r} has dim {len(f.u)}, strategy dim {self.strategy.dim}"
+                )
+        self._forms[x] = f
+        return f
+
+    def _part(self, part: Measurement) -> tuple:
+        """(form, {label: group}) of one factor, diagonalized once; the
+        part is kept so that its id stays its own."""
+        try:
+            return self._parts[id(part)][1:]
+        except KeyError:
+            form = _EigenForm(part, part.labels, self.tol)
+            groups = {label: k for k, label in enumerate(part.labels)}
+            self._parts[id(part)] = (part, form, groups)
+            return form, groups
 
     def _group(self, x) -> np.ndarray:
         try:
@@ -507,13 +612,18 @@ def table_game(
 
     accept maps each listed ordered pair (x, y) to the accepted answer
     pairs (a, b); unlisted pairs are trivial.  Diagonal pairs are refused
-    (the game accepts exactly a = b there), as are questions without
-    answers, pairs naming other questions and listed pairs without accept sets.
+    (the game accepts exactly a = b there), as are questions listed twice
+    or without answers, pairs naming other questions and listed pairs
+    without accept sets.
     """
     questions = list(questions)
+    seen = set()
     for x in questions:
+        if x in seen:
+            raise ValueError(f"table lists question {x!r} twice")
         if x not in answers:
             raise ValueError(f"table question {x!r} has no answer list")
+        seen.add(x)
     answers = {x: tuple(answers[x]) for x in questions}
     nontrivial_pairs = list(nontrivial_pairs)
     for x, y in nontrivial_pairs + list(accept):

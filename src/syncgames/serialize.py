@@ -9,6 +9,7 @@ compact form as the key string.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -174,15 +175,21 @@ def matrix_to_doc(op: np.ndarray) -> dict:
 
 
 def matrix_from_doc(doc: dict) -> np.ndarray:
+    """A d x d complex matrix from rows of JSON numbers; a bool is not one."""
     d = _field(doc, "matrix", "dim", int)
     re, im = (_field(doc, "matrix", name, list) for name in ("re", "im"))
-    try:  # ragged nesting raises
-        re, im = np.array(re), np.array(im)
-    except ValueError:
-        re = im = np.array(None)
-    if any(part.dtype.kind not in "if" or part.shape != (d, d) for part in (re, im)):
-        raise ValueError(f"matrix fields 're' and 'im' must be {d} x {d} arrays of numbers")
-    return re + 1j * im
+    refusal = ValueError(f"matrix fields 're' and 'im' must be {d} x {d} arrays of numbers")
+    for rows in (re, im):
+        if (
+            len(rows) != d
+            or any(type(row) is not list or len(row) != d for row in rows)
+            or not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
+        ):
+            raise refusal
+    try:
+        return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise refusal from None
 
 
 def measurement_to_doc(m: Measurement) -> dict:

@@ -41,6 +41,8 @@ from .cooklevin import (
 from .games import (
     Game,
     SynchronousStrategy,
+    _identity_part,
+    _kron_measurement,
     _transposed,
     index_answer_bits,
     is_oracularizable,
@@ -180,19 +182,28 @@ def lift_oracularize(game: Game, strategy: SynchronousStrategy) -> SynchronousSt
 
 INTRO_I = "I"
 INTRO_SPECIALS = (INTRO_I, "I_A", "I_B", "I_A.S_B", "I_A.E_B", "I_B.S_A", "I_B.E_A")
+# The special questions' mask tables grow as 8^l: introspect over a
+# two-answer base builds in about 0.75 s at l = 6 on a 2-vCPU VM, and l = 8
+# would cost about 64 times as much.
+INTRO_MAX_L = 6
 
 
 def _intro_answers(game: Game):
     """The exponent l and the answers of each special question.
 
-    Requires the base question set to be exactly {0,1}^l for even l >= 2.
-    I_W answers (x, a), I_W.S and I_W.E answer (x, a, y), and I answers the
-    transcript (x, a, y, b), in base question and answer order.
+    Requires the base question set to be exactly {0,1}^l for even l >= 2
+    and l <= INTRO_MAX_L.  I_W answers (x, a), I_W.S and I_W.E answer
+    (x, a, y), and I answers the transcript (x, a, y, b), in base question
+    and answer order.
     """
     base = list(game.questions)
     l = len(base[0]) if base and isinstance(base[0], tuple) else 0
     if sorted(base) != bitstrings(l) or l < 2 or l % 2:
         raise ValueError("introspection requires questions {0,1}^l, even l >= 2")
+    if l > INTRO_MAX_L:
+        raise ValueError(
+            f"introspection over l={l} question bits is out of reach; l <= {INTRO_MAX_L}"
+        )
     xs = bitstrings(l)
     iw = tuple((x, a) for x in xs for a in game.answers(x))
     iwq = tuple((x, a, y) for x, a in iw for y in xs)
@@ -316,17 +327,23 @@ def lift_introspection(game: Game, strategy: SynchronousStrategy) -> Synchronous
         other = qs_honest.measurement(q.split(".")[1]).element  # S or E of the other player
         return lambda x, a, y: np.kron(sample[w](x) @ other(y), measured(x, a))
 
+    eye_base = _identity_part(strategy.dim)
+
+    def factors(q):
+        """A Question Sampling question acts on the sampling register alone."""
+        if q in special_answers:
+            return None
+        parts, index = qs_honest.factors(q)
+        return parts + [eye_base], {a: row + (None,) for a, row in index.items()}
+
     def build(q):
         if q in special_answers:
             element = element_rule(q)
             labels = special_answers[q]
             return Measurement(labels, [element(*lab) for lab in labels], kind="projective")
-        # Question Sampling question: act on the sampling register alone
-        m = qs_honest.measurement(q)
-        eye_s = np.eye(strategy.dim, dtype=complex)
-        return Measurement(m.labels, [np.kron(e, eye_s) for e in m.elements], kind="projective")
+        return _kron_measurement(*factors(q))
 
-    return SynchronousStrategy(dim, build, cache_size=64)
+    return SynchronousStrategy(dim, build, cache_size=64, factors=factors)
 
 
 # ---------------------------------------------------------------------------

@@ -552,6 +552,22 @@ class TestBuiltinBounds:
             assert rc == 0, spec
 
 
+class TestIntrospectionBound:
+    def test_large_l_refused_in_a_second(self, tmp_path, capsys):
+        # a valid builtin size: introspect used to allocate 64 GiB in the
+        # Question Sampling strategy here and end in a traceback
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"transform": "introspect", "params": {},
+                                    "base": {"builtin": {"kind": "consistency", "l": 8}}}))
+        start = time.perf_counter()
+        rc = run(["eval", "--game", str(path), "--strategy", "honest", "--sample", "10",
+                  "--seed", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: introspection over l=8 question bits is out of reach; l <= 6\n"
+
+
 class TestOptimizeCommands:
     def test_seesaw_requires_seed(self, ms_files):
         game, _ = ms_files

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from syncgames.builtins import magic_square
 from syncgames.cli import run
 from syncgames.cooklevin import equality_machine
-from syncgames.serialize import dumps, machine_to_doc, strategy_to_doc
+from syncgames.serialize import dumps, machine_to_doc, matrix_from_doc, strategy_to_doc
 
 TABLE = {
     "name": "pair",
@@ -152,3 +152,28 @@ def test_table_field_of_wrong_type(files, field, value):
     doc = {"table": {**TABLE, field: value}}
     lines = check_mutant(files, "table", doc, ("table", field), "retype")
     assert lines == [f"error: table field {field!r} must be an object, got {value!r}"]
+
+
+def test_table_question_listed_twice(files):
+    # "y" twice drew it twice as often as "x": a different game
+    doc = {"table": {**TABLE, "questions": ["x", "y", "y"]}}
+    lines = check_mutant(files, "table", doc, ("table", "questions"), "resize")
+    assert lines == ["error: table lists question 'y' twice"]
+
+
+def test_matrix_bool_among_numbers_refused():
+    # numpy promoted the row to floats and read this as [[1, 0.5], [0, 1]]
+    with pytest.raises(ValueError) as refused:
+        matrix_from_doc({"dim": 2, "re": [[True, 0.5], [0, 1]], "im": [[0, 0], [0, 0]]})
+    assert str(refused.value) == "matrix fields 're' and 'im' must be 2 x 2 arrays of numbers"
+
+
+@pytest.mark.parametrize("row", [[True, 0], [1, False]])
+def test_strategy_bool_equal_to_its_number(files, row):
+    # the entries read 1, 0: the honest "s11" projector loaded unchanged
+    doc = copy.deepcopy(DOCS["strategy"][0])
+    element = doc["measurements"]['"s11"'][0]
+    assert element["re"][0][:2] == [1, 0]
+    element["re"][0][:2] = row
+    lines = check_mutant(files, "strategy", doc, ("measurements", '"s11"', 0, "re"), "retype")
+    assert lines == ["error: matrix fields 're' and 'im' must be 4 x 4 arrays of numbers"]

@@ -1,5 +1,6 @@
 """Game model, exact/sampled evaluation, builtin constructions."""
 
+import functools
 import math
 
 import numpy as np
@@ -19,15 +20,18 @@ from syncgames.builtins import (
     two_of_n_ms,
 )
 from syncgames.games import (
+    _kron_measurement,
     is_oracularizable,
     sampled_value,
     table_game,
     tensor_extend,
     value,
     Game,
+    StrategyEvaluator,
     SynchronousStrategy,
 )
 from syncgames.optimize import haar_unitary, perturb_strategy
+from syncgames.transform import INTRO_SPECIALS, introspect, lift_introspection
 
 from helpers import assert_synchronous, rebuilt_game, recording, rng_for
 
@@ -484,3 +488,173 @@ class TestTableGame:
         assert value(gc, sc).value == pytest.approx(1.0, abs=1e-12)
         gf, sf = forbidden_pair_game(2)
         assert value(gf, sf).value == pytest.approx(1 - 2 / 16, abs=1e-12)
+
+
+@functools.cache
+def factored(name):
+    """(game, honest strategy with Kronecker factors) of each factored builder."""
+    if name == "consistency_2.intro":
+        base, honest = consistency_game(2)
+        return introspect(base), lift_introspection(base, honest)
+    return {"two_of_2_ms": two_of_n_ms, "question_sampling_2": question_sampling}[name](2)
+
+
+FACTORED = ("two_of_2_ms", "question_sampling_2", "consistency_2.intro")
+DENSE_REFUSALS = (
+    "measurement is not projective within tolerance",
+    "measurement is not a complete projective family",
+    "measurement does not sum to the identity",
+)
+
+
+def dense_only(strategy):
+    """The same measurements without factors: every form from one eigh."""
+    return SynchronousStrategy(strategy.dim, strategy.measurement)
+
+
+class TestFactoredStrategies:
+    """Honest strategies over tensor copies name their measurements'
+    Kronecker parts; evaluation builds eigenbases from the parts alone."""
+
+    @pytest.mark.parametrize("name", FACTORED)
+    def test_parts_multiply_to_the_dense_measurement(self, name):
+        game, strategy = factored(name)
+        qs = list(game.questions)
+        picks = rng_for("factors", name).choice(len(qs), size=30, replace=False)
+        checked = 0
+        for q in [qs[int(i)] for i in picks] + qs[-11:]:
+            spec = strategy.factors(q)
+            if spec is None:  # the introspection specials stay dense
+                assert q in INTRO_SPECIALS
+                continue
+            parts, index = spec
+            m = strategy.measurement(q)
+            assert m.labels == tuple(index) == game.answers(q)
+            for row, element in zip(index.values(), m.elements):
+                product = functools.reduce(np.kron, [p.element(a) for p, a in zip(parts, row)])
+                assert np.array_equal(product, element), (q, row)
+            checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("name", FACTORED)
+    def test_factored_forms_match_dense_forms(self, name):
+        game, strategy = factored(name)
+        fac = StrategyEvaluator(game, strategy, Tolerance())
+        dense = StrategyEvaluator(game, dense_only(strategy), Tolerance())
+        rng = rng_for("factored-forms", name)
+        pairs = list(game.nontrivial_pairs())
+        picked = [pairs[int(i)] for i in rng.choice(len(pairs), size=40, replace=False)]
+        if name.endswith(".intro"):  # Question Sampling questions against specials
+            qs = list(game.questions)[: -len(INTRO_SPECIALS)]
+            for s in INTRO_SPECIALS:
+                q = qs[int(rng.integers(len(qs)))]
+                picked += [(q, s), (s, q), ("S_A", s), (s, "E_B")]
+        for x, y in picked:
+            assert np.abs(fac.cross_gram(x, y) - dense.cross_gram(x, y)).max() <= 1e-12
+            assert abs(fac.worst_commutator(x, y) - dense.worst_commutator(x, y)) <= 1e-12
+
+    CORRUPTIONS = ("scale", "perturb", "zero", "rotate", "relabel", "duplicate_row", "swap_rows")
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(FACTORED),
+        pick=st.integers(0, 10**6),
+        corruption=st.sampled_from(CORRUPTIONS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_corrupted_factors_refused_as_dense(self, name, pick, corruption, seed):
+        """A corrupted part or index row is refused by exact evaluation
+        exactly when its dense product is, with one of the dense texts."""
+        game, honest = factored(name)
+        rng = np.random.default_rng(seed)
+        if name != "two_of_2_ms" and pick % 3 == 0:  # a sampling or erasure question
+            target = ("S_A", "S_B", "E_A", "E_B")[pick % 4]
+        else:
+            pool = [q for q in game.questions if q not in INTRO_SPECIALS]
+            target = pool[pick % len(pool)]
+        parts, index = honest.factors(target)
+        parts, index = list(parts), dict(index)
+        labels = list(index)
+        k = int(rng.integers(len(parts)))
+        part = parts[k]
+        elements = list(part.elements)
+        j = int(rng.integers(len(elements)))
+        if corruption == "scale":
+            # (k + 1) * 1.1234 is an integer for no outcome index k below
+            # 4999, so the scaled range gets no integer eigenvalue
+            elements[j] = 1.1234 * elements[j]
+        elif corruption == "perturb":
+            h = rng.normal(size=elements[j].shape) + 1j * rng.normal(size=elements[j].shape)
+            elements[j] = elements[j] + 0.05 * (h + h.conj().T)
+        elif corruption == "zero":
+            elements[j] = np.zeros_like(elements[j])
+        elif corruption == "rotate":
+            u = haar_unitary(part.dim, rng)
+            elements = [u @ e @ u.conj().T for e in elements]
+        a, b = rng.choice(len(labels), size=2, replace=False)
+        if corruption == "relabel":
+            index = {("?" if lab == labels[a] else lab): row for lab, row in index.items()}
+        elif corruption == "duplicate_row":
+            index[labels[a]] = index[labels[b]]
+        elif corruption == "swap_rows":
+            index[labels[a]], index[labels[b]] = index[labels[b]], index[labels[a]]
+        parts[k] = Measurement(part.labels, elements, kind="projective")
+
+        def factors(q):
+            return (parts, index) if q == target else honest.factors(q)
+
+        def build(q):
+            return _kron_measurement(parts, index) if q == target else honest.measurement(q)
+
+        # exact evaluation over the first pairs that ask the target question
+        near = [p for p in game.nontrivial_pairs() if target in p][:8]
+        around = Game(game.name, game.questions, game.answers, game.rule,
+                      nontrivial_pairs=lambda: iter(near))
+        outcomes = []
+        for strategy in (SynchronousStrategy(honest.dim, build, factors=factors),
+                         SynchronousStrategy(honest.dim, build)):
+            try:
+                value(around, strategy)
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        fac, dense = outcomes
+        assert (fac is None) == (dense is None), outcomes
+        if corruption == "relabel":
+            assert fac == dense and "do not match game answers" in fac
+        else:
+            assert fac in (None,) + DENSE_REFUSALS, outcomes
+        if corruption == "perturb":
+            assert fac is not None
+
+    def test_row_naming_no_outcome_of_its_part(self):
+        game, honest = two_of_n_ms(2)
+        q = game.questions[0]
+        parts, index = honest.factors(q)
+        label = next(iter(index))
+        index = {**index, label: ("?", index[label][1])}
+
+        def factors(x):
+            return (parts, index) if x == q else honest.factors(x)
+
+        strategy = SynchronousStrategy(honest.dim, honest.measurement, factors=factors)
+        with pytest.raises(ValueError, match="not a complete projective family"):
+            StrategyEvaluator(game, strategy, Tolerance()).form(q)
+
+    def test_parts_of_wrong_dimension(self):
+        game, honest = two_of_n_ms(2)
+        q = game.questions[0]
+        strategy = SynchronousStrategy(honest.dim * 2, honest.measurement, factors=honest.factors)
+        with pytest.raises(ValueError, match="has dim 16, strategy dim 32"):
+            StrategyEvaluator(game, strategy, Tolerance()).form(q)
+
+    def test_parts_diagonalized_once_per_evaluator(self, monkeypatch):
+        game, strategy = question_sampling(2)
+        built = []
+        monkeypatch.setattr(strategy, "_builder", lambda q: built.append(q))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+        assert value(game, strategy).value == pytest.approx(1.0, abs=1e-12)
+        # 15 Magic Square measurements, the C^4 identity and two sampling parts
+        assert built == [] and calls == [(4, 4)] * 18
