@@ -8,8 +8,8 @@ classical oracles (optimize), and wire formats (serialize, ncpo).
 """
 
 from .algebra import (
+    DEFAULT_TOL,
     Measurement,
-    Tolerance,
     binary_to_observable,
     bitstrings,
     closeness,

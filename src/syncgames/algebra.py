@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Tolerance",
+    "DEFAULT_TOL",
     "Measurement",
     "tau_norm",
     "set_tau_norm",
@@ -34,18 +34,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Single absolute tolerance used by all validity checks."""
-
-    eps: float = 1e-9
-
-    def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("tolerance must be non-negative")
-
-
-DEFAULT_TOL = Tolerance()
+DEFAULT_TOL = 1e-9
+"""Absolute tolerance of every validity check: Hermitian, PSD, projective,
+observable, normalized, integer eigenvalues, zero commutator."""
 
 
 def _as_operator(a) -> np.ndarray:
@@ -63,29 +54,36 @@ def tau_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a)) / np.sqrt(a.shape[0])
 
 
-def is_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = _as_operator(a)
-    return bool(np.abs(a - a.conj().T).max() <= tol.eps)
+def _hermitian_defect(a: np.ndarray) -> float:
+    return np.abs(a - a.conj().T).max()
 
 
-def is_psd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """PSD check via smallest eigenvalue >= -eps (requires Hermitian)."""
-    if not is_hermitian(a, tol):
-        return False
-    w = np.linalg.eigvalsh(a)
-    return bool(w.min() >= -tol.eps)
+def _projection_defect(a: np.ndarray) -> float:
+    return max(_hermitian_defect(a), np.abs(a @ a - a).max())
 
 
-def is_projection(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = _as_operator(a)
-    return is_hermitian(a, tol) and bool(np.abs(a @ a - a).max() <= tol.eps)
+def _psd_defect(a: np.ndarray) -> float:
+    """Hermitian defect or the depth of the smallest eigenvalue below zero."""
+    return max(_hermitian_defect(a), -np.linalg.eigvalsh(a).min())
 
 
-def is_observable(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(_hermitian_defect(_as_operator(a)) <= DEFAULT_TOL)
+
+
+def is_psd(a: np.ndarray) -> bool:
+    return bool(_psd_defect(_as_operator(a)) <= DEFAULT_TOL)
+
+
+def is_projection(a: np.ndarray) -> bool:
+    return bool(_projection_defect(_as_operator(a)) <= DEFAULT_TOL)
+
+
+def is_observable(a: np.ndarray) -> bool:
     """Hermitian unitary: self-adjoint and squares to the identity."""
     a = _as_operator(a)
     eye = np.eye(a.shape[0])
-    return is_hermitian(a, tol) and bool(np.abs(a @ a - eye).max() <= tol.eps)
+    return is_hermitian(a) and bool(np.abs(a @ a - eye).max() <= DEFAULT_TOL)
 
 
 @dataclass
@@ -126,20 +124,20 @@ class Measurement:
     def sum(self) -> np.ndarray:
         return np.sum(self.elements, axis=0)
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        """Raise ValueError if the elements violate the declared kind."""
+    def validate(self, eps: float = DEFAULT_TOL) -> None:
+        """Raise ValueError if the elements violate the declared kind
+        within eps; each message opens with what the family is not."""
         if self.kind == "general":
             return
-        eye = np.eye(self.dim)
-        if np.abs(self.sum() - eye).max() > tol.eps:
-            raise ValueError("elements do not sum to the identity")
+        if np.abs(self.sum() - np.eye(self.dim)).max() > eps:
+            raise ValueError("not normalized: its elements do not sum to the identity")
+        if self.kind == "projective":
+            defect, problem = _projection_defect, "not projective: element {!r} is not a projection"
+        else:
+            defect, problem = _psd_defect, "not a POVM: element {!r} is not PSD"
         for lab, e in zip(self.labels, self.elements):
-            if self.kind == "projective":
-                if not is_projection(e, tol):
-                    raise ValueError(f"element {lab!r} is not a projection")
-            else:
-                if not is_psd(e, tol):
-                    raise ValueError(f"element {lab!r} is not PSD")
+            if defect(e) > eps:
+                raise ValueError(problem.format(lab))
 
 
 def _check_compatible(m: Measurement, n: Measurement) -> None:
@@ -162,11 +160,11 @@ def closeness(m: Measurement, n: Measurement) -> float:
     )
 
 
-def inconsistency(m: Measurement, n: Measurement, tol: Tolerance = DEFAULT_TOL) -> float:
+def inconsistency(m: Measurement, n: Measurement) -> float:
     """Disagreement mass sum_{a != b} tr(M_a N_b)/dim, clamped at zero.
 
     Requires POVM or projective inputs; tiny negative rounding artifacts
-    within eps are clamped to zero.
+    within DEFAULT_TOL are clamped to zero.
     """
     _check_compatible(m, n)
     for meas in (m, n):
@@ -177,7 +175,7 @@ def inconsistency(m: Measurement, n: Measurement, tol: Tolerance = DEFAULT_TOL) 
     agree = sum(np.trace(a @ b).real for a, b in zip(m.elements, n.elements)) / d
     val = total - agree
     if val < 0:
-        if val < -tol.eps:
+        if val < -DEFAULT_TOL:
             raise ValueError(f"inconsistency {val} below tolerance window")
         val = 0.0
     return float(val)
@@ -211,11 +209,11 @@ def data_process(m: Measurement, f) -> Measurement:
     return Measurement(tuple(out_labels), [sums[t] for t in out_labels], kind=m.kind)
 
 
-def binary_to_observable(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def binary_to_observable(m: Measurement) -> np.ndarray:
     """M_0 - M_1 for a complete two-outcome projective measurement."""
     if len(m.labels) != 2:
         raise ValueError("binary observable needs exactly two outcomes")
-    m.validate(tol)
+    m.validate()
     if m.kind != "projective":
         raise ValueError("binary observable requires a projective measurement")
     return m.elements[0] - m.elements[1]
@@ -226,7 +224,7 @@ def bitstrings(n: int) -> list[tuple[int, ...]]:
     return list(itertools.product((0, 1), repeat=n))
 
 
-def fourier_observables(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> dict:
+def fourier_observables(m: Measurement) -> dict:
     """Character sums O_u = sum_x (-1)^{u.x} M_x over outcomes {0,1}^n.
 
     Requires a projective measurement whose outcome set is exactly the
@@ -240,7 +238,7 @@ def fourier_observables(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> dict:
     expected = bitstrings(n)
     if sorted(m.labels) != expected:
         raise ValueError("outcome set must be exactly the n-bit strings")
-    m.validate(tol)
+    m.validate()
     if m.kind != "projective":
         raise ValueError("fourier observables require a projective measurement")
     out = {}
@@ -253,7 +251,7 @@ def fourier_observables(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> dict:
     return out
 
 
-def _round_to_projection(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _round_to_projection(a: np.ndarray) -> np.ndarray:
     """Spectral rounding: keep eigenspaces with eigenvalue > 1/2."""
     h = (a + a.conj().T) / 2
     w, v = np.linalg.eigh(h)
@@ -263,7 +261,7 @@ def _round_to_projection(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     return keep @ keep.conj().T
 
 
-def projectivize(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Measurement:
+def projectivize(m: Measurement) -> Measurement:
     """Round a POVM to a projective measurement over the same labels.
 
     Per-element spectral threshold at 1/2, then sequential orthogonalization:
@@ -272,29 +270,29 @@ def projectivize(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Measurement:
     last label.  Exactly projective input is a fixed point.
     """
     if m.kind == "projective":
-        m.validate(tol)
+        m.validate()
         return m
     if m.kind != "povm":
         raise ValueError("projectivize expects a POVM")
-    m.validate(tol)
+    m.validate()
     d = m.dim
     eye = np.eye(d)
     fixed: list[np.ndarray] = []
     used = np.zeros((d, d), dtype=complex)
     for e in m.elements[:-1]:
         comp = eye - used
-        rounded = _round_to_projection(e, tol)
+        rounded = _round_to_projection(e)
         squeezed = comp @ rounded @ comp
-        p = _round_to_projection(squeezed, tol)
+        p = _round_to_projection(squeezed)
         fixed.append(p)
         used = used + p
     fixed.append(eye - used)
     out = Measurement(m.labels, fixed, kind="projective")
-    out.validate(Tolerance(max(tol.eps, 1e-8)))
+    out.validate(1e-8)
     return out
 
 
-def paste(measurements: list[Measurement], tol: Tolerance = DEFAULT_TOL) -> Measurement:
+def paste(measurements: list[Measurement]) -> Measurement:
     """Join K projective measurements into one over outcome tuples.
 
     Builds Q_vec = P (P)* from the ordered product of the inputs and
@@ -324,4 +322,4 @@ def paste(measurements: list[Measurement], tol: Tolerance = DEFAULT_TOL) -> Meas
         out_labels.append(combo)
         out_elements.append(prod @ prod.conj().T)
     povm = Measurement(tuple(out_labels), out_elements, kind="povm")
-    return projectivize(povm, tol)
+    return projectivize(povm)

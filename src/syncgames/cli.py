@@ -24,11 +24,16 @@ from .cooklevin import (
 from .games import sampled_value, value
 from .optimize import SeesawConfig, classical_value, seesaw
 
-__all__ = ["main", "run"]
+__all__ = ["MAX_SAMPLES", "main", "run"]
 
 
 class CliError(Exception):
     pass
+
+
+# A sampled eval draws three 8-byte arrays of N entries (two question
+# indices and one uniform per sample); 1 GiB of draws bounds N.
+MAX_SAMPLES = 2**30 // 24
 
 
 def _read_json(path: str):
@@ -87,6 +92,8 @@ def _cmd_eval(args) -> int:
     if args.sample is not None:
         if args.seed is None:
             raise CliError("--sample requires an explicit --seed")
+        if not 1 <= args.sample <= MAX_SAMPLES:
+            raise CliError(f"--sample must be in 1..{MAX_SAMPLES} (24 bytes of draws each), got {args.sample}")
         est, err = sampled_value(game, strategy, args.sample, args.seed)
         doc = {"estimate": est, "stderr": err, "samples": args.sample, "seed": args.seed}
     else:

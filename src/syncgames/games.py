@@ -19,7 +19,7 @@ projective parts, one per tensor factor (see SynchronousStrategy).
 Exact and sampled evaluation read correlations from one place,
 StrategyEvaluator.cross_gram, which works in a per-question eigenbasis so
 each pair costs one d x d unitary product.  Building that eigenbasis
-checks that the measurement is projective within tol and carries the
+checks that the measurement is projective within DEFAULT_TOL and carries the
 game's answer labels.  The eigenbasis of a factored measurement is the
 Kronecker product of its parts' eigenbases, each diagonalized once per
 evaluator, so such a question is never densified.  Exact evaluation walks
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Measurement, Tolerance
+from .algebra import DEFAULT_TOL, Measurement
 
 __all__ = [
     "Game",
@@ -238,10 +238,7 @@ class SynchronousStrategy:
         except KeyError:
             pass
         m = self._builder(x)
-        if m.dim != self.dim:
-            raise ValueError(
-                f"measurement for {x!r} has dim {m.dim}, strategy dim {self.dim}"
-            )
+        _check_dim(x, m.dim, self.dim)
         self._cache[x] = m
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
@@ -252,13 +249,12 @@ class SynchronousStrategy:
             raise ValueError("lazy strategy does not enumerate its questions")
         return list(self._table)
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         if self._table is None:
             return
         for x, m in self._table.items():
-            if m.dim != self.dim:
-                raise ValueError(f"measurement for {x!r} has wrong dimension")
-            m.validate(tol)
+            _check_dim(x, m.dim, self.dim)
+            m.validate()
 
     def conjugated(self, u: np.ndarray) -> "SynchronousStrategy":
         """Conjugate every measurement by one fixed unitary."""
@@ -272,6 +268,9 @@ class SynchronousStrategy:
         return SynchronousStrategy(self.dim, table)
 
 
+_REPORT_ATOL = 1e-12  # how far a report's value may sit from its summed terms
+
+
 @dataclass
 class EvaluationReport:
     """Exact value split into trivial mass and per-nontrivial-pair terms."""
@@ -281,10 +280,10 @@ class EvaluationReport:
     trivial_mass: float
     question_count: int
 
-    def check_consistency(self, atol: float = 1e-12) -> None:
+    def check_consistency(self) -> None:
         n2 = self.question_count**2
         recomputed = self.trivial_mass + math.fsum(self.per_pair.values()) / n2
-        if abs(recomputed - self.value) > atol:
+        if abs(recomputed - self.value) > _REPORT_ATOL:
             raise AssertionError(
                 f"report inconsistent: {recomputed} vs {self.value}"
             )
@@ -300,19 +299,24 @@ def _check_labels(labels: tuple, labels_expected) -> None:
         raise ValueError(f"measurement labels {labels!r} do not match game answers")
 
 
+def _check_dim(x, dim: int, strategy_dim: int) -> None:
+    if dim != strategy_dim:
+        raise ValueError(f"measurement for {x!r} has dim {dim}, strategy dim {strategy_dim}")
+
+
 class _EigenForm:
     """Joint eigenbasis of a projective measurement.
 
     Columns of u are grouped by outcome; group a spans the range of the
     projection for answer a.  Built with a single Hermitian
     eigendecomposition of sum_a (a_index + 1) M_a, whose eigenvalues must
-    be integers within tol.eps, or, by product(), from the forms of a
+    be integers within DEFAULT_TOL, or, by product(), from the forms of a
     factored measurement's parts without one.
     """
 
     __slots__ = ("u", "uh", "starts", "counts")
 
-    def __init__(self, m: Measurement, labels_expected, tol: Tolerance):
+    def __init__(self, m: Measurement, labels_expected):
         _check_labels(m.labels, labels_expected)
         d = m.dim
         h = np.zeros((d, d), dtype=complex)
@@ -320,7 +324,7 @@ class _EigenForm:
             h += (k + 1) * e
         w, v = np.linalg.eigh(h)
         idx = np.rint(w).astype(int)
-        if np.abs(w - idx).max() > tol.eps:
+        if np.abs(w - idx).max() > DEFAULT_TOL:
             raise ValueError(_NOT_PROJECTIVE)
         if idx.min() < 0 or idx.max() > len(m.elements):
             raise ValueError(_NOT_COMPLETE)
@@ -380,12 +384,16 @@ def _group_matrix(counts: np.ndarray, dim: int) -> np.ndarray:
 
 
 class StrategyEvaluator:
-    """Cached eigenbasis forms plus pairwise winning probabilities."""
+    """Cached eigenbasis forms plus pairwise winning probabilities.
 
-    def __init__(self, game: Game, strategy: SynchronousStrategy, tol: Tolerance):
+    tol is accepted only as DEFAULT_TOL, for callers that still pass it.
+    """
+
+    def __init__(self, game: Game, strategy: SynchronousStrategy, tol: float = DEFAULT_TOL):
+        if tol != DEFAULT_TOL:
+            raise ValueError(f"evaluation tolerance is fixed at DEFAULT_TOL = {DEFAULT_TOL}")
         self.game = game
         self.strategy = strategy
-        self.tol = tol
         self._forms: dict = {}
         self._groups: dict = {}
         self._parts: dict = {}  # id(part) -> (part, its form, {label: group})
@@ -397,15 +405,12 @@ class StrategyEvaluator:
             pass
         spec = None if self.strategy.factors is None else self.strategy.factors(x)
         if spec is None:
-            f = _EigenForm(self.strategy.measurement(x), self.game.answers(x), self.tol)
+            f = _EigenForm(self.strategy.measurement(x), self.game.answers(x))
         else:
             parts, index = spec
             _check_labels(tuple(index), self.game.answers(x))
             f = _EigenForm.product([self._part(p) for p in parts], index)
-            if len(f.u) != self.strategy.dim:
-                raise ValueError(
-                    f"measurement for {x!r} has dim {len(f.u)}, strategy dim {self.strategy.dim}"
-                )
+        _check_dim(x, len(f.u), self.strategy.dim)
         self._forms[x] = f
         return f
 
@@ -415,7 +420,7 @@ class StrategyEvaluator:
         try:
             return self._parts[id(part)][1:]
         except KeyError:
-            form = _EigenForm(part, part.labels, self.tol)
+            form = _EigenForm(part, part.labels)
             groups = {label: k for k, label in enumerate(part.labels)}
             self._parts[id(part)] = (part, form, groups)
             return form, groups
@@ -468,7 +473,7 @@ class StrategyEvaluator:
         return math.sqrt(max(worst, 0.0))
 
 
-def value(game: Game, strategy: SynchronousStrategy, tol: Tolerance = DEFAULT_TOL) -> EvaluationReport:
+def value(game: Game, strategy: SynchronousStrategy) -> EvaluationReport:
     """Exact value of a synchronous strategy.
 
     Iterates nontrivial pairs only; trivial pairs contribute winning mass
@@ -477,7 +482,7 @@ def value(game: Game, strategy: SynchronousStrategy, tol: Tolerance = DEFAULT_TO
     bit-stable.
     """
     n = game.question_count()
-    ev = StrategyEvaluator(game, strategy, tol)
+    ev = StrategyEvaluator(game, strategy)
     pairs = list(game.nontrivial_pairs())
     probs = [ev.win_probability(x, y) for x, y in pairs]
 
@@ -500,14 +505,13 @@ def sampled_value(
     strategy: SynchronousStrategy,
     samples: int,
     seed: int,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the value with binomial standard error.
 
     Draws (x, y) uniformly, then draws an answer pair from the cross-gram
     tr(M^x_a M^y_b)/dim of the StrategyEvaluator that exact evaluation
     uses, and scores it against the accept mask.  The strategy must be
-    projective within tol and carry the game's answer labels on every
+    projective within DEFAULT_TOL and carry the game's answer labels on every
     question a draw engages; otherwise the evaluator's ValueError
     propagates.  Draws that the game's maybe_nontrivial hook rules out win
     without being decoded.  Deterministic given the seed.
@@ -519,7 +523,7 @@ def sampled_value(
     xi = rng.integers(0, n, size=samples)
     yi = rng.integers(0, n, size=samples)
     unif = rng.random(size=samples)
-    ev = StrategyEvaluator(game, strategy, tol)
+    ev = StrategyEvaluator(game, strategy)
 
     @functools.lru_cache(maxsize=4096)
     def answer_cdf(x, y):
@@ -551,17 +555,16 @@ def sampled_value(
 def is_oracularizable(
     game: Game,
     strategy: SynchronousStrategy,
-    tol: Tolerance = DEFAULT_TOL,
     *,
     max_pairs: int | None = None,
 ) -> tuple[bool, float]:
-    """Worst commutator residual over nontrivial pairs, compared to tol.
+    """Worst commutator residual over nontrivial pairs, compared to DEFAULT_TOL.
 
-    Returns (all residuals <= tol.eps, worst residual).  max_pairs caps the
+    Returns (all residuals <= DEFAULT_TOL, worst residual).  max_pairs caps the
     number of nontrivial pairs examined (deterministic evenly spaced
     subsample) for games whose pair set is too large to exhaust.
     """
-    ev = StrategyEvaluator(game, strategy, tol)
+    ev = StrategyEvaluator(game, strategy)
     pairs = list(game.nontrivial_pairs())
     if max_pairs is not None and len(pairs) > max_pairs:
         idxs = np.linspace(0, len(pairs) - 1, max_pairs).astype(int)
@@ -569,7 +572,7 @@ def is_oracularizable(
     worst = 0.0
     for x, y in pairs:
         worst = max(worst, ev.worst_commutator(x, y))
-    return worst <= tol.eps, worst
+    return worst <= DEFAULT_TOL, worst
 
 
 def tensor_extend(s1: SynchronousStrategy, s2: SynchronousStrategy, combine) -> SynchronousStrategy:

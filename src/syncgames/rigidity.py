@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    DEFAULT_TOL,
     Measurement,
-    Tolerance,
     binary_to_observable,
     bitstrings,
     data_process,
@@ -69,10 +67,10 @@ class ObservablePairFamily:
         if not self.pairs:
             raise ValueError("family must be nonempty")
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         for k, (a, b) in enumerate(self.pairs, start=1):
             for name, op in (("A", a), ("B", b)):
-                if not is_observable(op, tol):
+                if not is_observable(op):
                     raise ValueError(f"{name}^({k}) is not a Hermitian unitary")
 
 
@@ -84,9 +82,7 @@ def _ms_observables_of(strategy: SynchronousStrategy) -> dict:
     return obs
 
 
-def ms_residuals(
-    strategy: SynchronousStrategy, tol: Tolerance = DEFAULT_TOL
-) -> ResidualReport:
+def ms_residuals(strategy: SynchronousStrategy) -> ResidualReport:
     """Magic Square rigidity audit: products to +-identity, same-row and
     same-column commutators, off-row/column anticommutators."""
     game, _ = magic_square()
@@ -112,7 +108,7 @@ def ms_residuals(
             if i != k and j != l:
                 a, b = obs[(i, j)], obs[(k, l)]
                 rel[f"R3.anticomm.{i}{j}_{k}{l}"] = tau_norm(a @ b + b @ a)
-    deficit = 1.0 - value(game, strategy, tol).value
+    deficit = 1.0 - value(game, strategy).value
     return ResidualReport.build(rel, deficit)
 
 
@@ -170,13 +166,11 @@ def _pair_relations(pairs: list) -> dict:
     return rel
 
 
-def two_of_n_residuals(
-    strategy: SynchronousStrategy, n: int, tol: Tolerance = DEFAULT_TOL
-) -> ResidualReport:
+def two_of_n_residuals(strategy: SynchronousStrategy, n: int) -> ResidualReport:
     """2-of-n-MS rigidity audit over the derived instance observables."""
     rel = _pair_relations(two_of_n_pair_family(strategy, n).pairs)
     game, _ = two_of_n_ms(n)
-    deficit = 1.0 - value(game, strategy, tol).value
+    deficit = 1.0 - value(game, strategy).value
     return ResidualReport.build(rel, deficit)
 
 
@@ -188,9 +182,7 @@ def _xor(x, u):
     return tuple(a ^ b for a, b in zip(x, u))
 
 
-def qs_residuals(
-    strategy: SynchronousStrategy, n: int, tol: Tolerance = DEFAULT_TOL
-) -> ResidualReport:
+def qs_residuals(strategy: SynchronousStrategy, n: int) -> ResidualReport:
     """Question Sampling rigidity audit (commutation, conjugation, traces)."""
     d = strategy.dim
     meas = {
@@ -199,7 +191,7 @@ def qs_residuals(
         "E_A": strategy.measurement("E_A"),
         "E_B": strategy.measurement("E_B"),
     }
-    four = {key: fourier_observables(m, tol) for key, m in meas.items()}
+    four = {key: fourier_observables(m) for key, m in meas.items()}
     xs = bitstrings(n)
     rel = {}
     # item 1: sampling measurements of the two sides commute; same for erasure
@@ -248,26 +240,22 @@ def qs_residuals(
                     np.trace(ma.element(x) @ mb.element(y)).real / d - 2.0 ** (-2 * n)
                 )
     game, _ = question_sampling(n)
-    deficit = 1.0 - value(game, strategy, tol).value
+    deficit = 1.0 - value(game, strategy).value
     return ResidualReport.build(rel, deficit)
 
 
-def dimension_certificate(
-    family: ObservablePairFamily, tol: Tolerance = DEFAULT_TOL
-) -> tuple[int, float]:
+def dimension_certificate(family: ObservablePairFamily) -> tuple[int, float]:
     """Family size n and worst residual of its (anti)commutation relations.
 
     A family of n pairwise-independent anticommuting observable pairs at
     residual eps certifies dimension close to 2^n; the caller compares
     2^n against the ambient dimension.
     """
-    family.validate(tol)
+    family.validate()
     return len(family.pairs), max(_pair_relations(family.pairs).values())
 
 
-def extract_projection(
-    strategy: SynchronousStrategy, n: int, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
+def extract_projection(strategy: SynchronousStrategy, n: int) -> tuple[np.ndarray, float]:
     """Projection near S^A_0 S^B_0 with trace 2^-2n on honest strategies.
 
     Projectivizes the two-outcome POVM {S^A_0 S^B_0 S^A_0, complement} and
@@ -279,6 +267,6 @@ def extract_projection(
     m = sa @ sb @ sa
     eye = np.eye(strategy.dim, dtype=complex)
     povm = Measurement(("pi", "rest"), [m, eye - m], kind="povm")
-    rounded = projectivize(povm, tol)
+    rounded = projectivize(povm)
     pi = rounded.element("pi")
     return pi, float(np.trace(pi).real / strategy.dim)

@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from . import transform as tr
-from .algebra import DEFAULT_TOL, Measurement
+from .algebra import Measurement
 from .builtins import (
     consistency_game,
     forbidden_pair_game,
@@ -221,8 +221,9 @@ def strategy_to_doc(strategy: SynchronousStrategy, questions=None) -> dict:
 def strategy_from_doc(doc: dict, game: Game) -> SynchronousStrategy:
     """Rebind serialized measurements to the game's question labels.
 
-    Each measurement must sum to the identity within DEFAULT_TOL.eps;
-    projectivity is left to exact evaluation, which checks it anyway.
+    Each question's elements must form a projective measurement within
+    DEFAULT_TOL (Measurement.validate), so a sampled evaluation that never
+    draws a question still refuses a file that measures it wrongly.
     """
     dim = _field(doc, "strategy", "dim", int)
     raw = _field(doc, "strategy", "measurements", dict)
@@ -237,12 +238,10 @@ def strategy_from_doc(doc: dict, game: Game) -> SynchronousStrategy:
         m = Measurement(answers, [matrix_from_doc(e) for e in elements], kind="projective")
         if m.dim != dim:
             raise ValueError(f"strategy field 'dim' is {dim}; question {key} has dimension {m.dim}")
-        total = np.sum(m.elements, axis=0)
-        if np.abs(total - np.eye(m.dim)).max() > DEFAULT_TOL.eps:
-            raise ValueError(
-                f"measurement for question {key} is not normalized:"
-                " its elements do not sum to the identity"
-            )
+        try:
+            m.validate()
+        except ValueError as exc:
+            raise ValueError(f"measurement for question {key} is {exc}") from None
         table[x] = m
     return SynchronousStrategy(dim, table)
 

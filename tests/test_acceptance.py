@@ -41,7 +41,6 @@ from syncgames.cooklevin import (
     TableauLayout,
 )
 from syncgames.games import StrategyEvaluator, sampled_value, value
-from syncgames.algebra import DEFAULT_TOL
 from syncgames.optimize import SeesawConfig, classical_value, perturb_strategy, seesaw
 from syncgames.rigidity import (
     dimension_certificate,
@@ -195,7 +194,7 @@ def test_criterion_07_gapless_compression_completeness():
     # drive the proof-query rows directly: engaged pairs must all win
     intro = compressed.intro_game
     ctx = compressed.ar_context
-    ev = StrategyEvaluator(compressed, lifted, DEFAULT_TOL)
+    ev = StrategyEvaluator(compressed, lifted)
     rng = rng_for("accept7", 0)
     intro_pairs = [p for p in intro.nontrivial_pairs() if p[0] != p[1]]
     for _ in range(25):

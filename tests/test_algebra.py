@@ -5,14 +5,12 @@ import pytest
 
 from syncgames.algebra import (
     Measurement,
-    Tolerance,
     binary_to_observable,
     bitstrings,
     closeness,
     data_process,
     fourier_observables,
     inconsistency,
-    is_observable,
     paste,
     projectivize,
     set_tau_norm,
@@ -176,7 +174,9 @@ class TestFourierObservables:
         obs = fourier_observables(strategy.measurement("S_A"))
         values = list(obs.values())
         for o in values:
-            assert is_observable(o, Tolerance(1e-10))
+            # a Hermitian unitary within 1e-10, tighter than is_observable's DEFAULT_TOL
+            assert np.abs(o - o.conj().T).max() <= 1e-10
+            assert np.abs(o @ o - np.eye(len(o))).max() <= 1e-10
         for i, a in enumerate(values):
             for b in values[i + 1 :]:
                 assert tau_norm(a @ b - b @ a) < 1e-12

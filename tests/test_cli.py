@@ -4,9 +4,10 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
-from syncgames.cli import run
+from syncgames.cli import MAX_SAMPLES, run
 from syncgames.cooklevin import always_accept_machine, equality_machine
 from syncgames.serialize import dumps, machine_to_doc
 
@@ -58,6 +59,21 @@ def povm_strategy(strategy, tmp_path):
     povm = tmp_path / "povm.json"
     povm.write_text(dumps(doc))
     return povm
+
+
+def shifted_strategy(strategy, tmp_path):
+    """Honest Magic Square strategy file with the "r1" elements 0, 1, 2
+    shifted by +A, -2A, +A, A = 0.05 (X (x) I): they still sum to the
+    identity, but are not projections."""
+    doc = json.loads(read(strategy))
+    shift = 0.05 * np.kron([[0, 1], [1, 0]], np.eye(2))
+    elements = doc["measurements"]['"r1"']
+    for k, c in enumerate((1, -2, 1)):
+        re = np.array(elements[k]["re"]) + c * shift
+        elements[k] = {"dim": 4, "re": re.tolist(), "im": elements[k]["im"]}
+    shifted = tmp_path / "shifted.json"
+    shifted.write_text(dumps(doc))
+    return shifted
 
 
 class TestGameShow:
@@ -133,6 +149,40 @@ class TestEval:
         rc = run(["eval", "--game", str(game), "--strategy", str(povm), *sample])
         assert rc == 1
         assert "not projective" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_non_projective_strategy_rejected_on_load(self, ms_files, tmp_path, capsys, seed):
+        # 20 samples at seed 2 draw no nontrivial pair with "s11", so only
+        # the check on loading can see the mixed measurement
+        game, strategy = ms_files
+        povm = povm_strategy(strategy, tmp_path)
+        rc = run(["eval", "--game", str(game), "--strategy", str(povm), "--sample", "20",
+                  "--seed", seed])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert 'question "s11"' in err and "not projective" in err, err
+
+    def test_normalized_non_projective_strategy_rejected(self, ms_files, tmp_path, capsys):
+        # exact evaluation's integer-eigenvalue test let this file through
+        # with value 0.9999999999999999
+        game, strategy = ms_files
+        shifted = shifted_strategy(strategy, tmp_path)
+        rc = run(["eval", "--game", str(game), "--strategy", str(shifted)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert 'question "r1"' in err and "not projective" in err, err
+
+    @pytest.mark.parametrize("sample", [0, MAX_SAMPLES + 1, 10**12])
+    def test_sample_count_out_of_range_refused(self, ms_files, capsys, sample):
+        game, _ = ms_files
+        rc = run(["eval", "--game", str(game), "--strategy", "honest", "--sample", str(sample),
+                  "--seed", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sample") and err.count("\n") == 1, err
+
+    def test_sample_bound_admits_every_count_in_use(self):
+        assert MAX_SAMPLES >= 100_000  # the largest count the benchmark runs
 
     def test_verbs_back_to_back_share_no_state(self, ms_files, tmp_path):
         game, strategy = ms_files

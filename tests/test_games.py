@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncgames.algebra import Measurement, Tolerance, bitstrings, closeness
+from syncgames.algebra import Measurement, bitstrings, closeness
 from syncgames.builtins import (
     MS_EQUATIONS,
     MS_QUESTIONS,
@@ -139,6 +139,16 @@ class TestSampledValue:
         strategy = mixed_strategy(game, honest, ["s11"], 1.0)
         for evaluate in (value, lambda g, s: sampled_value(g, s, 20_000, seed=1)):
             with pytest.raises(ValueError, match="not projective"):
+                evaluate(game, strategy)
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_wrong_dimension_refused_with_its_question(self, lazy):
+        game, honest = magic_square()
+        small = Measurement((0, 1), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], kind="projective")
+        table = {x: small if x == "s11" else honest.measurement(x) for x in game.questions}
+        strategy = SynchronousStrategy(4, table.__getitem__ if lazy else table)
+        for evaluate in (value, lambda g, s: sampled_value(g, s, 2000, seed=1)):
+            with pytest.raises(ValueError, match="measurement for 's11' has dim 2, strategy dim 4"):
                 evaluate(game, strategy)
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -539,8 +549,8 @@ class TestFactoredStrategies:
     @pytest.mark.parametrize("name", FACTORED)
     def test_factored_forms_match_dense_forms(self, name):
         game, strategy = factored(name)
-        fac = StrategyEvaluator(game, strategy, Tolerance())
-        dense = StrategyEvaluator(game, dense_only(strategy), Tolerance())
+        fac = StrategyEvaluator(game, strategy)
+        dense = StrategyEvaluator(game, dense_only(strategy))
         rng = rng_for("factored-forms", name)
         pairs = list(game.nontrivial_pairs())
         picked = [pairs[int(i)] for i in rng.choice(len(pairs), size=40, replace=False)]
@@ -639,14 +649,14 @@ class TestFactoredStrategies:
 
         strategy = SynchronousStrategy(honest.dim, honest.measurement, factors=factors)
         with pytest.raises(ValueError, match="not a complete projective family"):
-            StrategyEvaluator(game, strategy, Tolerance()).form(q)
+            StrategyEvaluator(game, strategy).form(q)
 
     def test_parts_of_wrong_dimension(self):
         game, honest = two_of_n_ms(2)
         q = game.questions[0]
         strategy = SynchronousStrategy(honest.dim * 2, honest.measurement, factors=honest.factors)
         with pytest.raises(ValueError, match="has dim 16, strategy dim 32"):
-            StrategyEvaluator(game, strategy, Tolerance()).form(q)
+            StrategyEvaluator(game, strategy).form(q)
 
     def test_parts_diagonalized_once_per_evaluator(self, monkeypatch):
         game, strategy = question_sampling(2)

@@ -1,6 +1,7 @@
 """Every name a library module imports is used there or re-exported,
-every local a library function assigns is read, and every name the package
-imports from a module is in that module's __all__."""
+every local a library function assigns and every parameter it takes is
+read, and every name the package imports from a module is in that
+module's __all__."""
 
 import ast
 import importlib
@@ -115,6 +116,50 @@ def test_unused_locals_checker():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of named functions that neither the function nor a
+    nested function reads; self, cls and names starting with "_" are
+    exempt, and so are lambdas."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {
+            n.id for n in ast.walk(func)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
+        found += [
+            f"{func.name}: {p.arg} (line {p.lineno})"
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")
+        ]
+    return sorted(found)
+
+
+def test_unused_parameters_checker():
+    source = (
+        "def f(self, a, b, *args, c=1, _d=2, **kw):\n"   # b, args and c unread
+        "    g = lambda x, y: x\n"                        # lambdas are exempt
+        "    def h(e):\n"
+        "        return a + kw['k']\n"                     # e unread; a read by h
+        "    return g, h\n"
+        "class C:\n"
+        "    @classmethod\n"
+        "    def make(cls, n):\n"
+        "        return [n for _ in range(2)]\n"
+    )
+    assert unused_parameters(source) == [
+        "f: args (line 1)", "f: b (line 1)", "f: c (line 1)", "h: e (line 3)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
 
 
 def unexported_imports(init_source: str, exports: dict) -> list[str]:

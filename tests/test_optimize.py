@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from syncgames.algebra import Tolerance, closeness
+from syncgames.algebra import closeness
 from syncgames.builtins import MS_EQUATIONS, MS_QUESTIONS, consistency_game, magic_square
 from syncgames.games import table_game, value
 from syncgames.optimize import (
@@ -316,7 +316,9 @@ class TestPerturbStrategy:
     def test_projectivity_preserved(self):
         _, strategy = magic_square()
         out = perturb_strategy(strategy, 0.3, seed=4)
-        out.validate(Tolerance(1e-10))
+        out.validate()
+        for x in out.question_labels():  # projective within 1e-10, tighter than DEFAULT_TOL
+            out.measurement(x).validate(1e-10)
 
     def test_negative_magnitude_rejected(self):
         _, strategy = magic_square()

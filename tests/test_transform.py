@@ -25,7 +25,7 @@ from syncgames.games import (
     table_game,
     value,
 )
-from syncgames.algebra import DEFAULT_TOL, Measurement, bitstrings
+from syncgames.algebra import Measurement, bitstrings
 from syncgames.optimize import haar_unitary, perturb_strategy
 from syncgames.serialize import machine_to_doc
 from syncgames.transform import (
@@ -697,7 +697,7 @@ class TestLiftAnswerReduce:
         strategy = make(2)[1]
         if kind == "conjugated":
             strategy = strategy.conjugated(haar_unitary(strategy.dim, rng_for("arwin", name)))
-        ev = StrategyEvaluator(reduced_games()[name], reduced_lift(name, strategy), DEFAULT_TOL)
+        ev = StrategyEvaluator(reduced_games()[name], reduced_lift(name, strategy))
         wins = np.array(
             [ev.win_probability(q1, q2) for q1, q2 in reduced_rows(name)], dtype=np.float64
         )
@@ -737,7 +737,7 @@ class TestLiftAnswerReduce:
         reduced = answer_reduce(game, T)
         ctx = reduced.ar_context
         lifted = lift_answer_reduce(game, strategy, T, reduced=reduced)
-        ev = StrategyEvaluator(reduced, lifted, DEFAULT_TOL)
+        ev = StrategyEvaluator(reduced, lifted)
         rng = rng_for("engaged", 1)
         pairs = [p for p in game.nontrivial_pairs() if p[0] != p[1]]
         compiled = {}
@@ -786,7 +786,7 @@ class TestLiftAnswerReduce:
         reduced = answer_reduce(game, 4)
         ctx = reduced.ar_context
         lifted = lift_answer_reduce(game, strategy, 4, reduced=reduced)
-        ev = StrategyEvaluator(reduced, lifted, DEFAULT_TOL)
+        ev = StrategyEvaluator(reduced, lifted)
         rng = rng_for("arcomm", 0)
         pairs = [p for p in game.nontrivial_pairs() if p[0] != p[1]]
         for _ in range(60):
@@ -833,7 +833,7 @@ class TestGaplessCompress:
         intro = compressed.intro_game
         ctx = compressed.ar_context
         lifted = lift_gapless_compress(game, strategy, 8, compressed=compressed)
-        ev = StrategyEvaluator(compressed, lifted, DEFAULT_TOL)
+        ev = StrategyEvaluator(compressed, lifted)
         rng = rng_for("gap", 1)
         intro_pairs = [p for p in intro.nontrivial_pairs() if p[0] != p[1]]
         for _ in range(40):
