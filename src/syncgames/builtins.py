@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .algebra import Measurement, bitstrings
-from .games import Game, SynchronousStrategy, _identity_part, _kron_measurement, _transposed
+from .games import Game, SynchronousStrategy, _identity_part, _transposed
 
 __all__ = [
     "magic_square",
@@ -231,19 +231,8 @@ def _two_of_n_pairs_iter(n: int):
             yield (i, j, qv[0], qv[1]), (k, l, rv[0], rv[1])
 
 
-def two_of_n_ms(n: int) -> tuple[Game, SynchronousStrategy]:
-    """2-of-n Magic Square: n parallel instances, two queried per player."""
-    if n < 2:
-        raise ValueError("two_of_n_ms requires n >= 2")
-    questions = _two_of_n_questions(n)
-    game = Game(
-        f"two_of_{n}_ms",
-        questions,
-        _two_of_n_answers,
-        _two_of_n_rule,
-        nontrivial_pairs=lambda: _two_of_n_pairs_iter(n),
-    )
-    ms_meas = _ms_honest_measurements()
+def _two_of_n_factors(n: int, ms_meas: dict):
+    """Factors of the 2-of-n honest strategy over n copies of C^4."""
     eye = _identity_part(4)
 
     def factors(q):
@@ -258,10 +247,23 @@ def two_of_n_ms(n: int) -> tuple[Game, SynchronousStrategy]:
             index[(a, b)] = tuple(row)
         return parts, index
 
-    strategy = SynchronousStrategy(
-        4**n, lambda q: _kron_measurement(*factors(q)), cache_size=64, factors=factors
+    return factors
+
+
+def two_of_n_ms(n: int) -> tuple[Game, SynchronousStrategy]:
+    """2-of-n Magic Square: n parallel instances, two queried per player."""
+    if n < 2:
+        raise ValueError("two_of_n_ms requires n >= 2")
+    questions = _two_of_n_questions(n)
+    game = Game(
+        f"two_of_{n}_ms",
+        questions,
+        _two_of_n_answers,
+        _two_of_n_rule,
+        nontrivial_pairs=lambda: _two_of_n_pairs_iter(n),
     )
-    return game, strategy
+    factors = _two_of_n_factors(n, _ms_honest_measurements())
+    return game, SynchronousStrategy(4**n, None, factors=factors)
 
 
 _QS_SPECIALS = ("S_A", "S_B", "E_A", "E_B")
@@ -350,7 +352,7 @@ def question_sampling(n: int) -> tuple[Game, SynchronousStrategy]:
     )
 
     ms_meas = _ms_honest_measurements()
-    _, base_strategy = two_of_n_ms(n)
+    base_factors = _two_of_n_factors(n, ms_meas)
     eye = _identity_part(4)
     half = n // 2
     # one part per sampled copy c: the product of the two cross-checking
@@ -366,7 +368,7 @@ def question_sampling(n: int) -> tuple[Game, SynchronousStrategy]:
 
     def factors(q):
         if q not in _QS_SPECIALS:
-            return base_strategy.factors(q)
+            return base_factors(q)
         offset = 0 if q.endswith("A") else half
         parts = [eye] * n
         parts[offset : offset + half] = [pair_parts[_QS_ROWS[q]]] * half
@@ -377,10 +379,7 @@ def question_sampling(n: int) -> tuple[Game, SynchronousStrategy]:
             index[y] = tuple(row)
         return parts, index
 
-    strategy = SynchronousStrategy(
-        4**n, lambda q: _kron_measurement(*factors(q)), cache_size=64, factors=factors
-    )
-    return game, strategy
+    return game, SynchronousStrategy(4**n, None, factors=factors)
 
 
 def trivial_game(l: int) -> tuple[Game, SynchronousStrategy]:

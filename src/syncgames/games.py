@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,21 +196,21 @@ def _kron_measurement(parts, index: dict) -> Measurement:
 class SynchronousStrategy:
     """One projective measurement per question on a common dimension.
 
-    measurements is either a dict {question: Measurement} or a callable
-    building measurements on demand (used by lifted strategies over
-    question spaces too large to materialize); lazily built measurements
-    are kept in a bounded cache.
+    measurements is either a dict {question: Measurement}, whose dimensions
+    are checked here, or a callable building measurements on demand (used
+    by lifted strategies over question spaces too large to materialize),
+    called on every measurement(x); a strategy caches nothing.
 
-    factors, when given, maps a question to None (measured densely) or to
-    (parts, index): projective parts on the tensor factors in Kronecker
-    order, and a dict from each answer label, in answer order, to one label
-    per part.  Answer a's element is the Kronecker product of
-    parts[k].element(index[a][k]), which is what _kron_measurement builds and
-    measurement(x) must return.  Evaluation reads the parts only, so a
-    part object shared by many questions is diagonalized once.
+    factors, when given, maps a question to None (measured by the builder)
+    or to (parts, index): projective parts on the tensor factors in
+    Kronecker order, and a dict from each answer label, in answer order, to
+    one label per part.  Answer a's element is the Kronecker product of
+    parts[k].element(index[a][k]), which measurement(x) builds; such a
+    question needs no builder.  Evaluation reads the parts only, so a part
+    object shared by many questions is diagonalized once.
     """
 
-    def __init__(self, dim: int, measurements, *, cache_size: int = 512, factors=None):
+    def __init__(self, dim: int, measurements, *, factors=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = int(dim)
@@ -219,11 +218,11 @@ class SynchronousStrategy:
         if isinstance(measurements, dict):
             self._table = dict(measurements)
             self._builder = None
+            for x, m in self._table.items():
+                _check_dim(x, m.dim, self.dim)
         else:
             self._table = None
             self._builder = measurements
-        self._cache: OrderedDict = OrderedDict()
-        self._cache_size = cache_size
 
     def measurement(self, x) -> Measurement:
         if self._table is not None:
@@ -231,17 +230,9 @@ class SynchronousStrategy:
                 return self._table[x]
             except KeyError:
                 raise KeyError(f"strategy has no measurement for question {x!r}")
-        try:
-            m = self._cache.pop(x)
-            self._cache[x] = m
-            return m
-        except KeyError:
-            pass
-        m = self._builder(x)
+        spec = None if self.factors is None else self.factors(x)
+        m = self._builder(x) if spec is None else _kron_measurement(*spec)
         _check_dim(x, m.dim, self.dim)
-        self._cache[x] = m
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
         return m
 
     def question_labels(self):
@@ -252,8 +243,7 @@ class SynchronousStrategy:
     def validate(self) -> None:
         if self._table is None:
             return
-        for x, m in self._table.items():
-            _check_dim(x, m.dim, self.dim)
+        for m in self._table.values():
             m.validate()
 
     def conjugated(self, u: np.ndarray) -> "SynchronousStrategy":
@@ -410,7 +400,7 @@ class StrategyEvaluator:
             parts, index = spec
             _check_labels(tuple(index), self.game.answers(x))
             f = _EigenForm.product([self._part(p) for p in parts], index)
-        _check_dim(x, len(f.u), self.strategy.dim)
+            _check_dim(x, len(f.u), self.strategy.dim)
         self._forms[x] = f
         return f
 
@@ -580,28 +570,34 @@ def tensor_extend(s1: SynchronousStrategy, s2: SynchronousStrategy, combine) -> 
 
     combine(question) returns (q1, q2) or (q1, q2, merge) where merge maps
     an outcome pair (a1, a2) to the output label (default: the tuple
-    itself).  The resulting dimension is the product of the inputs'.
+    itself).  The resulting dimension is the product of the inputs'.  The
+    product is factored: its parts are those of M1 then those of M2, a
+    densely measured question counting as one part.
     """
-    dim = s1.dim * s2.dim
 
-    def build(q):
+    def parts_of(s, q):
+        spec = None if s.factors is None else s.factors(q)
+        if spec is None:
+            m = s.measurement(q)
+            return [m], {a: (a,) for a in m.labels}
+        return spec
+
+    def factors(q):
         spec = combine(q)
-        if len(spec) == 2:
-            q1, q2 = spec
-            merge = lambda a1, a2: (a1, a2)
-        else:
-            q1, q2, merge = spec
-        m1 = s1.measurement(q1)
-        m2 = s2.measurement(q2)
-        labels = []
-        elements = []
-        for a1, e1 in zip(m1.labels, m1.elements):
-            for a2, e2 in zip(m2.labels, m2.elements):
-                labels.append(merge(a1, a2))
-                elements.append(np.kron(e1, e2))
-        return Measurement(tuple(labels), elements, kind="projective")
+        q1, q2 = spec[:2]
+        merge = spec[2] if len(spec) == 3 else lambda a1, a2: (a1, a2)
+        parts1, index1 = parts_of(s1, q1)
+        parts2, index2 = parts_of(s2, q2)
+        index = {}
+        for a1, row1 in index1.items():
+            for a2, row2 in index2.items():
+                label = merge(a1, a2)
+                if label in index:
+                    raise ValueError("duplicate outcome labels")
+                index[label] = row1 + row2
+        return [*parts1, *parts2], index
 
-    return SynchronousStrategy(dim, build)
+    return SynchronousStrategy(s1.dim * s2.dim, None, factors=factors)
 
 
 def table_game(

@@ -42,7 +42,6 @@ from .games import (
     Game,
     SynchronousStrategy,
     _identity_part,
-    _kron_measurement,
     _transposed,
     index_answer_bits,
     is_oracularizable,
@@ -63,8 +62,6 @@ __all__ = [
     "lift_gapless_compress",
     "INTRO_SPECIALS",
 ]
-
-EXACT_EVAL_BUDGET = 10_000_000
 
 
 class BudgetError(ValueError):
@@ -337,13 +334,11 @@ def lift_introspection(game: Game, strategy: SynchronousStrategy) -> Synchronous
         return parts + [eye_base], {a: row + (None,) for a, row in index.items()}
 
     def build(q):
-        if q in special_answers:
-            element = element_rule(q)
-            labels = special_answers[q]
-            return Measurement(labels, [element(*lab) for lab in labels], kind="projective")
-        return _kron_measurement(*factors(q))
+        element = element_rule(q)
+        labels = special_answers[q]
+        return Measurement(labels, [element(*lab) for lab in labels], kind="projective")
 
-    return SynchronousStrategy(dim, build, cache_size=64, factors=factors)
+    return SynchronousStrategy(dim, build, factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +635,8 @@ def answer_reduce(game: Game, T: int) -> Game:
         return None
 
     def refuse_pairs():
-        cost = ctx.L**3 * (ctx.n_base + ctx.n_base**2) ** 2
         raise BudgetError(
-            f"exact evaluation needs ~{cost:.2e} pair visits"
-            f" (budget {EXACT_EVAL_BUDGET:.0e}); use sampled_value"
+            f"exact evaluation needs {len(questions) ** 2:.2e} pair visits; use sampled_value"
         )
 
     out = Game(
@@ -682,8 +675,12 @@ def _lift_reduced(ctx: _ARContext, strategy: SynchronousStrategy) -> Synchronous
     measurement of an isolated question, the oracle terms of an oracle
     pair) into the label of the bits it reads from that element's bit
     string: the padded encoded answer, or the proof of the answer pair's
-    run.  Indices past a padded answer read 0.
+    run.  Indices past a padded answer read 0.  The oracle questions of
+    one pair read its base measurements again and again, so the base is
+    read through a 64-entry cache; the lift itself caches nothing.
     """
+    base = functools.lru_cache(maxsize=64)(strategy.measurement)
+    strategy = SynchronousStrategy(strategy.dim, base)
     dim = strategy.dim
     zero = np.zeros((dim, dim), dtype=complex)
 
@@ -707,7 +704,7 @@ def _lift_reduced(ctx: _ARContext, strategy: SynchronousStrategy) -> Synchronous
         labels = _ar_answers(q)
         return Measurement(labels, [sums.get(lab, zero) for lab in labels], kind="projective")
 
-    return SynchronousStrategy(dim, build, cache_size=1024)
+    return SynchronousStrategy(dim, build)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from syncgames.builtins import (
     two_of_n_ms,
 )
 from syncgames.games import (
-    _kron_measurement,
     is_oracularizable,
     sampled_value,
     table_game,
@@ -146,10 +145,17 @@ class TestSampledValue:
         game, honest = magic_square()
         small = Measurement((0, 1), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], kind="projective")
         table = {x: small if x == "s11" else honest.measurement(x) for x in game.questions}
-        strategy = SynchronousStrategy(4, table.__getitem__ if lazy else table)
         for evaluate in (value, lambda g, s: sampled_value(g, s, 2000, seed=1)):
             with pytest.raises(ValueError, match="measurement for 's11' has dim 2, strategy dim 4"):
-                evaluate(game, strategy)
+                evaluate(game, SynchronousStrategy(4, table.__getitem__ if lazy else table))
+
+    def test_lazy_builder_runs_on_every_call(self):
+        _, honest = magic_square()
+        built = []
+        strategy = SynchronousStrategy(4, lambda q: built.append(q) or honest.measurement(q))
+        for _ in range(3):
+            assert strategy.measurement("s11") is honest.measurement("s11")
+        assert built == ["s11"] * 3
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(
@@ -323,6 +329,17 @@ class TestQuestionSampling:
         game, strategy = question_sampling(2)
         assert value(game, strategy).value == pytest.approx(1.0, abs=1e-10)
 
+    def test_builds_no_two_of_n_game(self, monkeypatch):
+        import syncgames.builtins as builtins
+
+        def refuse(n):
+            raise AssertionError("question_sampling built a 2-of-n game")
+
+        monkeypatch.setattr(builtins, "two_of_n_ms", refuse)
+        game, strategy = question_sampling(2)
+        q = game.questions[0]
+        assert strategy.measurement(q).labels == game.answers(q)
+
     def test_sampling_traces(self):
         _, strategy = question_sampling(2)
         sa = strategy.measurement("S_A")
@@ -409,6 +426,24 @@ class TestTensorExtend:
         _, b = two_of_n_ms(2)
         combined = tensor_extend(a, b, lambda q: (q[0], q[1]))
         assert combined.dim == 64
+
+    def test_evaluated_from_parts(self, monkeypatch):
+        game, ms = magic_square()
+        one = SynchronousStrategy(
+            2, {"u": Measurement(("only",), [np.eye(2, dtype=complex)], "projective")}
+        )
+        combined = tensor_extend(ms, one, lambda q: (q, "u", lambda a, b: a))
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
+        assert value(game, combined).value == pytest.approx(1.0, abs=1e-12)
+        assert shapes and (8, 8) not in shapes
+
+    def test_repeated_merged_labels_refused(self):
+        _, ms = magic_square()
+        combined = tensor_extend(ms, ms, lambda q: (q, q, lambda a, b: a))
+        with pytest.raises(ValueError, match="duplicate outcome labels"):
+            combined.measurement("s11")
 
 
 class TestValueInvariants:
@@ -613,16 +648,13 @@ class TestFactoredStrategies:
         def factors(q):
             return (parts, index) if q == target else honest.factors(q)
 
-        def build(q):
-            return _kron_measurement(parts, index) if q == target else honest.measurement(q)
-
+        corrupted = SynchronousStrategy(honest.dim, honest.measurement, factors=factors)
         # exact evaluation over the first pairs that ask the target question
         near = [p for p in game.nontrivial_pairs() if target in p][:8]
         around = Game(game.name, game.questions, game.answers, game.rule,
                       nontrivial_pairs=lambda: iter(near))
         outcomes = []
-        for strategy in (SynchronousStrategy(honest.dim, build, factors=factors),
-                         SynchronousStrategy(honest.dim, build)):
+        for strategy in (corrupted, dense_only(corrupted)):
             try:
                 value(around, strategy)
                 outcomes.append(None)

@@ -183,3 +183,54 @@ def test_package_imports_only_exported_names():
     exports = {p.stem: importlib.import_module(f"syncgames.{p.stem}").__all__ for p in MODULES}
     init = Path(syncgames.__file__).read_text()
     assert unexported_imports(init, exports) == []
+
+
+SETTABLE_DEFAULTS_CEILING = 32
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def settable_defaults(source: str) -> int:
+    """Defaulted positional and keyword-only parameters of every function
+    and lambda, plus the fields with defaults of every dataclass."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _SCOPES):
+            a = node.args
+            count += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_settable_defaults_counter():
+    source = (
+        "import dataclasses\n"
+        "def f(a, b=1, *args, c, d=None, **kw):\n"     # b and d
+        "    return lambda x, y=2: x\n"                  # y
+        "@dataclass(frozen=True)\n"
+        "class P:\n"
+        "    n: int\n"
+        "    m: int = 3\n"                               # m
+        "    def g(self, k=0): ...\n"                    # k
+        "@dataclasses.dataclass\n"
+        "class Q:\n"
+        "    t: float = 1e-9\n"                          # t
+        "class R:\n"
+        "    u: int = 4\n"                               # not a dataclass
+    )
+    assert settable_defaults(source) == 6
+
+
+def test_settable_defaults_bounded():
+    """A new knob raises this ceiling in the change that adds it."""
+    total = sum(settable_defaults(p.read_text()) for p in MODULES)
+    total += settable_defaults(Path(syncgames.__file__).read_text())
+    assert total <= SETTABLE_DEFAULTS_CEILING

@@ -48,6 +48,16 @@ class TestMagicSquareResiduals:
         report = ms_residuals(tweaked)
         assert report.relations["R3.anticomm.11_22"] == pytest.approx(2.0, abs=1e-12)
 
+    def test_wrong_dimension_refused_when_built(self):
+        _, strategy = magic_square()
+        table = {x: strategy.measurement(x) for x in strategy.question_labels()}
+        table["s22"] = Measurement(
+            (0, 1), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], kind="projective"
+        )
+        for audit in (ms_residuals, ms_pair_family):
+            with pytest.raises(ValueError, match="measurement for 's22' has dim 2, strategy dim 4"):
+                audit(SynchronousStrategy(4, table))
+
     def test_perturbed_within_explicit_bound(self):
         game, strategy = magic_square()
         for k, magnitude in enumerate((3e-4, 1e-3, 3e-3)):

@@ -551,6 +551,14 @@ class TestAnswerReduce:
         with pytest.raises(BudgetError):
             value(reduced, lifted)
 
+    def test_budget_refusal_states_the_pair_count(self):
+        game, strategy = trivial_game(0)
+        reduced = answer_reduce(game, 1)
+        lifted = lift_answer_reduce(game, strategy, 1, reduced=reduced)
+        assert len(reduced.questions) == 3768
+        with pytest.raises(BudgetError, match=r"needs 1\.42e\+07 pair visits; use sampled_value"):
+            value(reduced, lifted)
+
     def test_time_attestation_failure(self):
         # an 8-bit answer encoding cannot fit a T=2 budget
         game, _ = consistency_game(2)
@@ -826,6 +834,30 @@ class TestGaplessCompress:
         lifted = lift_gapless_compress(game, strategy, 8, compressed=compressed)
         est, err = sampled_value(compressed, lifted, 20_000, seed=5)
         assert est == pytest.approx(1.0, abs=1e-12)
+
+    def test_oracle_questions_read_each_base_measurement_once(self, monkeypatch):
+        import syncgames.transform as transform
+
+        reads = []
+        lift = transform.lift_introspection
+
+        def counted(game, strategy):
+            lifted = lift(game, strategy)
+            measure = lifted.measurement
+            lifted.measurement = lambda x: reads.append(x) or measure(x)
+            return lifted
+
+        monkeypatch.setattr(transform, "lift_introspection", counted)
+        game, strategy = consistency_game(2)
+        compressed = gapless_compress(game, 8)
+        lifted = lift_gapless_compress(game, strategy, 8, compressed=compressed)
+        x, y = next(
+            (x, y) for x, y in compressed.intro_game.nontrivial_pairs()
+            if x != y and y in INTRO_SPECIALS
+        )
+        for p in (1, (1, 2)):
+            lifted.measurement((("ora", x, y), p))
+        assert sorted(reads, key=repr) == sorted([x, y], key=repr)
 
     def test_engaged_pairs_all_win_for_perfect_base(self):
         game, strategy = consistency_game(2)
