@@ -36,11 +36,9 @@ from .cooklevin import (
     always_accept_machine,
     always_reject_machine,
     backtrack_models,
-    brute_force_sat,
     check_assignment,
     clause_access,
     compile_cnf,
-    enumerate_models,
     equality_machine,
     prefix_predicate_machine,
     simulate,

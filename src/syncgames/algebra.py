@@ -28,8 +28,6 @@ __all__ = [
     "projectivize",
     "paste",
     "is_hermitian",
-    "is_psd",
-    "is_projection",
     "is_observable",
 ]
 
@@ -69,14 +67,6 @@ def _psd_defect(a: np.ndarray) -> float:
 
 def is_hermitian(a: np.ndarray) -> bool:
     return bool(_hermitian_defect(_as_operator(a)) <= DEFAULT_TOL)
-
-
-def is_psd(a: np.ndarray) -> bool:
-    return bool(_psd_defect(_as_operator(a)) <= DEFAULT_TOL)
-
-
-def is_projection(a: np.ndarray) -> bool:
-    return bool(_projection_defect(_as_operator(a)) <= DEFAULT_TOL)
 
 
 def is_observable(a: np.ndarray) -> bool:

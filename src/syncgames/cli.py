@@ -71,11 +71,13 @@ def _load_strategy(spec: str, game, honest):
 
 
 def _cmd_game(args) -> int:
-    doc = {"builtin": {"kind": args.builtin}}
-    if args.n is not None:
-        doc["builtin"]["n"] = args.n
-    if args.l is not None:
-        doc["builtin"]["l"] = args.l
+    size = sz.BUILTIN_GAMES[args.builtin][1]
+    given = {flag: v for flag, v in (("n", args.n), ("l", args.l)) if v is not None}
+    unused = sorted(given.keys() - {size})
+    if unused:
+        hint = f" (its size is --{size})" if size else ""
+        raise CliError(f"builtin {args.builtin!r} takes no --{unused[0]}{hint}")
+    doc = {"builtin": {"kind": args.builtin, **given}}
     game, honest = sz.game_from_doc(doc)
     _write(sz.dumps(doc), args.out)
     if args.strategy_out:
@@ -87,6 +89,8 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.sample is None and args.seed is not None:
+        raise CliError("--seed applies only to --sample; exact evaluation draws nothing")
     game, honest = _load_game(args.game)
     strategy = _load_strategy(args.strategy, game, honest)
     if args.sample is not None:
@@ -122,6 +126,10 @@ def _cmd_rigidity(args) -> int:
 
 def _cmd_transform(args) -> int:
     lift, takes_T = sz.TRANSFORMS[args.transform]
+    if args.T is not None and not takes_T:
+        raise CliError(f"{args.transform} takes no --T")
+    if args.lift_out and not args.lift:
+        raise CliError("--lift-out applies only to --lift")
     base_doc = _read_json(args.base)
     params = {"T": args.T} if takes_T else {}  # a missing --T is refused as T null
     doc = {"transform": args.transform, "params": params, "base": base_doc}
@@ -305,3 +313,7 @@ def run(argv=None) -> int:
 
 def main() -> None:  # console entry point
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -22,8 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "BLANK",
     "TuringMachine",
@@ -36,8 +34,6 @@ __all__ = [
     "witness_to_assignment",
     "tableau_assignment",
     "check_assignment",
-    "brute_force_sat",
-    "enumerate_models",
     "backtrack_models",
     "always_accept_machine",
     "always_reject_machine",
@@ -63,23 +59,26 @@ class TuringMachine:
     reject: str
     transition: dict = field(hash=False)
 
-    def __post_init__(self):
-        for s in (self.start, self.accept, self.reject):
-            if s not in self.states:
-                raise ValueError(f"designated state {s!r} not in state set")
+    def __post_init__(self):  # each refusal names its document field
+        if len(set(self.states)) != len(self.states):
+            raise ValueError(f"states lists a state twice: {list(self.states)!r:.60}")
+        for name in ("start", "accept", "reject"):
+            if getattr(self, name) not in self.states:
+                raise ValueError(f"{name} state {getattr(self, name)!r} not in states")
         if self.accept == self.reject:
-            raise ValueError("accept and reject states must differ")
+            raise ValueError(f"accept and reject states must differ, both are {self.accept!r}")
         for q in self.states:
             for s in SYMBOLS:
                 if (q, s) not in self.transition:
-                    raise ValueError(f"transition not total at {(q, s)!r}")
+                    raise ValueError(f"delta has no entry for {(q, s)!r}")
                 q2, s2, mv = self.transition[(q, s)]
                 if q2 not in self.states or s2 not in SYMBOLS or mv not in MOVES:
-                    raise ValueError(f"bad transition at {(q, s)!r}")
-        for halt in (self.accept, self.reject):
+                    raise ValueError(f"delta entry for {(q, s)!r} is bad: {(q2, s2, mv)!r}")
+        for name in ("accept", "reject"):
+            halt = getattr(self, name)
             for s in SYMBOLS:
                 if self.transition[(halt, s)] != (halt, s, "S"):
-                    raise ValueError("accept/reject states must be absorbing")
+                    raise ValueError(f"delta must keep the {name} state {halt!r} absorbing")
 
 
 def _absorbing(state: str) -> dict:
@@ -532,61 +531,12 @@ def check_assignment(cnf: CNF, assignment: Assignment):
     return True, None
 
 
-def _clause_arrays(cnf: CNF):
-    arr = np.array(cnf.clauses, dtype=np.int64)
-    return np.abs(arr) - 1, arr > 0
-
-
-def _satisfied_mask(cnf: CNF, bits: np.ndarray) -> np.ndarray:
-    """bits: (chunk, num_vars) 0/1 matrix; returns per-row satisfaction."""
-    idx, sign = _clause_arrays(cnf)
-    ok = np.ones(bits.shape[0], dtype=bool)
-    for c in range(idx.shape[0]):
-        vals = bits[:, idx[c]]
-        lits = vals == sign[c]
-        ok &= lits.any(axis=1)
-    return ok
-
-
-def _bit_matrix(start: int, count: int, num_vars: int) -> np.ndarray:
-    ms = np.arange(start, start + count, dtype=np.uint64)
-    shifts = np.arange(num_vars - 1, -1, -1, dtype=np.uint64)
-    return ((ms[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-
-
-def brute_force_sat(cnf: CNF, cap: int = 24):
-    """First satisfying assignment in lexicographic order, or None.
-
-    Exhaustive scan (variable 1 most significant); refuses formulas with
-    more than cap variables.
-    """
-    models = enumerate_models(cnf, cap, limit=1)
-    return models[0] if models else None
-
-
-def enumerate_models(cnf: CNF, cap: int = 24, limit: int | None = None):
-    """All satisfying assignments in lexicographic order (exhaustive scan)."""
-    if cnf.num_vars > cap:
-        raise ValueError(f"{cnf.num_vars} variables exceeds cap {cap}")
-    total = 1 << cnf.num_vars
-    chunk = 1 << 18
-    out = []
-    for start in range(0, total, chunk):
-        count = min(chunk, total - start)
-        bits = _bit_matrix(start, count, cnf.num_vars)
-        ok = _satisfied_mask(cnf, bits)
-        for hit in np.flatnonzero(ok):
-            out.append(Assignment(tuple(int(b) for b in bits[hit])))
-            if limit is not None and len(out) >= limit:
-                return out
-    return out
-
-
 def backtrack_models(cnf: CNF, limit: int | None = None):
     """All satisfying assignments via prefix-pruned depth-first search.
 
-    Handles larger variable counts than enumerate_models when the formula
-    is heavily forced (as tableau formulas are); lexicographic order.
+    Prunes each prefix that falsifies a clause, so it handles the variable
+    counts of heavily forced formulas (as tableau formulas are);
+    lexicographic order.
     """
     by_maxvar: dict[int, list] = {}
     for clause in cnf.clauses:

@@ -300,8 +300,9 @@ class _EigenForm:
     Columns of u are grouped by outcome; group a spans the range of the
     projection for answer a.  Built with a single Hermitian
     eigendecomposition of sum_a (a_index + 1) M_a, whose eigenvalues must
-    be integers within DEFAULT_TOL, or, by product(), from the forms of a
-    factored measurement's parts without one.
+    be integers and whose M_a must sum to the identity, within DEFAULT_TOL,
+    or, by product(), from the forms of a factored measurement's parts
+    without one.
     """
 
     __slots__ = ("u", "uh", "starts", "counts")
@@ -310,8 +311,10 @@ class _EigenForm:
         _check_labels(m.labels, labels_expected)
         d = m.dim
         h = np.zeros((d, d), dtype=complex)
+        excess = -np.eye(d, dtype=complex)  # sum of the elements less the identity
         for k, e in enumerate(m.elements):
             h += (k + 1) * e
+            excess += e
         w, v = np.linalg.eigh(h)
         idx = np.rint(w).astype(int)
         if np.abs(w - idx).max() > DEFAULT_TOL:
@@ -319,7 +322,9 @@ class _EigenForm:
         if idx.min() < 0 or idx.max() > len(m.elements):
             raise ValueError(_NOT_COMPLETE)
         counts = np.bincount(idx, minlength=len(m.elements) + 1)
-        if counts[0] != 0:
+        # integer eigenvalues alone admit a projector repeated in place of
+        # a zero one: P, P sum to eigenvalue 3 and would read as answer 2
+        if counts[0] != 0 or np.abs(excess).max() > DEFAULT_TOL:
             raise ValueError(_NOT_IDENTITY)
         self._set(v[:, np.argsort(idx, kind="stable")], counts[1:])
 

@@ -33,8 +33,6 @@ __all__ = [
     "label_key",
     "matrix_to_doc",
     "matrix_from_doc",
-    "measurement_to_doc",
-    "measurement_from_doc",
     "strategy_to_doc",
     "strategy_from_doc",
     "game_from_doc",
@@ -190,22 +188,6 @@ def matrix_from_doc(doc: dict) -> np.ndarray:
         return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
     except OverflowError:  # an integer beyond the float range
         raise refusal from None
-
-
-def measurement_to_doc(m: Measurement) -> dict:
-    return {
-        "labels": [_canon(lab) for lab in m.labels],
-        "kind": m.kind,
-        "elements": [matrix_to_doc(e) for e in m.elements],
-    }
-
-
-def measurement_from_doc(doc: dict) -> Measurement:
-    return Measurement(
-        tuple(_uncanon(lab) for lab in _field(doc, "measurement", "labels", list)),
-        [matrix_from_doc(e) for e in _field(doc, "measurement", "elements", list)],
-        kind=_field(doc, "measurement", "kind", str),
-    )
 
 
 def strategy_to_doc(strategy: SynchronousStrategy, questions=None) -> dict:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,19 +347,10 @@ def lift_introspection(game: Game, strategy: SynchronousStrategy) -> Synchronous
 @dataclass(frozen=True)
 class IndexMaps:
     """Proof indexing: answer bit i of player one sits at witness index
-    eta(i) = i, of player two at lambda(i) = T + i."""
+    eta(i) = i, of player two at lambda(i) = T + i; eta_inv and lam_inv
+    read a witness index back as its answer bit, or None."""
 
     T: int
-
-    def eta(self, i: int) -> int:
-        if not 1 <= i <= self.T:
-            raise ValueError(f"eta index {i} outside 1..{self.T}")
-        return i
-
-    def lam(self, i: int) -> int:
-        if not 1 <= i <= self.T:
-            raise ValueError(f"lambda index {i} outside 1..{self.T}")
-        return self.T + i
 
     def eta_inv(self, v: int) -> int | None:
         return v if 1 <= v <= self.T else None
@@ -434,7 +424,7 @@ class _ARContext:
         rep = decider.machine_for(base[0], base[0])
         layout = TableauLayout(rep, T, 2 * T)
         self.L = layout.num_vars
-        self._pi: OrderedDict = OrderedDict()
+        self._pi: dict = {}  # (x, y) -> proof table
         # (machine, witness) -> (outcome, proof bits); pairs whose deciders
         # share a machine share their runs
         self._runs: dict = {}
@@ -463,22 +453,15 @@ class _ARContext:
     def padded_bits(self, x, a) -> tuple[int, ...]:
         return self.padded_codes(x)[self.game.answers(x).index(a)]
 
-    def witness(self, x, y, a, b) -> tuple[int, ...]:
-        return self.padded_bits(x, a) + self.padded_bits(y, b)
-
     def proof_table(self, x, y) -> dict:
         """(a, b) -> (outcome, proof bit tuple) for the run on its witness.
 
         Each distinct (machine, witness) runs once per context; tables of
         pairs that share a decider machine hold the same run objects.
         """
-        key = (x, y)
-        try:
-            val = self._pi.pop(key)
-            self._pi[key] = val
-            return val
-        except KeyError:
-            pass
+        table = self._pi.get((x, y))
+        if table is not None:
+            return table
         mach = self.decider.machine_for(x, y)
         ans_x, ans_y = self.game.answers(x), self.game.answers(y)
         if self.game.nontrivial(x, y):
@@ -496,9 +479,7 @@ class _ARContext:
                 outcome, asg = tableau_assignment(mach, self.T, w)
                 run = runs[(mach, w)] = (outcome, asg.bits)
             table[(ans_x[i], ans_y[j])] = run
-        self._pi[key] = table
-        if len(self._pi) > 512:
-            self._pi.popitem(last=False)
+        self._pi[(x, y)] = table
         return table
 
     def clauses(self, x, y, j, k, l):

@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 
 from syncgames.algebra import Measurement
+from syncgames.cooklevin import CNF, Assignment
 from syncgames.games import Game
 from syncgames.optimize import haar_unitary
 
@@ -221,3 +222,56 @@ def reference_polish(elements, coeff):
 def random_hermitian(dim: int, rng) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (z + z.conj().T) / 2
+
+
+# -- exhaustive SAT oracle (checks backtrack_models and the tableau encoding) --
+
+
+def _clause_arrays(cnf: CNF):
+    arr = np.array(cnf.clauses, dtype=np.int64)
+    return np.abs(arr) - 1, arr > 0
+
+
+def _satisfied_mask(cnf: CNF, bits: np.ndarray) -> np.ndarray:
+    """bits: (chunk, num_vars) 0/1 matrix; returns per-row satisfaction."""
+    idx, sign = _clause_arrays(cnf)
+    ok = np.ones(bits.shape[0], dtype=bool)
+    for c in range(idx.shape[0]):
+        vals = bits[:, idx[c]]
+        lits = vals == sign[c]
+        ok &= lits.any(axis=1)
+    return ok
+
+
+def _bit_matrix(start: int, count: int, num_vars: int) -> np.ndarray:
+    ms = np.arange(start, start + count, dtype=np.uint64)
+    shifts = np.arange(num_vars - 1, -1, -1, dtype=np.uint64)
+    return ((ms[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+def brute_force_sat(cnf: CNF, cap: int = 24):
+    """First satisfying assignment in lexicographic order, or None.
+
+    Exhaustive scan (variable 1 most significant); refuses formulas with
+    more than cap variables.
+    """
+    models = enumerate_models(cnf, cap, limit=1)
+    return models[0] if models else None
+
+
+def enumerate_models(cnf: CNF, cap: int = 24, limit: int | None = None):
+    """All satisfying assignments in lexicographic order (exhaustive scan)."""
+    if cnf.num_vars > cap:
+        raise ValueError(f"{cnf.num_vars} variables exceeds cap {cap}")
+    total = 1 << cnf.num_vars
+    chunk = 1 << 18
+    out = []
+    for start in range(0, total, chunk):
+        count = min(chunk, total - start)
+        bits = _bit_matrix(start, count, cnf.num_vars)
+        ok = _satisfied_mask(cnf, bits)
+        for hit in np.flatnonzero(ok):
+            out.append(Assignment(tuple(int(b) for b in bits[hit])))
+            if limit is not None and len(out) >= limit:
+                return out
+    return out

@@ -35,7 +35,6 @@ from syncgames.cooklevin import (
     check_assignment,
     clause_access,
     compile_cnf,
-    enumerate_models,
     equality_machine,
     witness_to_assignment,
     TableauLayout,
@@ -60,6 +59,7 @@ from syncgames.transform import (
 )
 
 from helpers import (
+    enumerate_models,
     random_contraction_set,
     random_operator_set,
     random_povm,

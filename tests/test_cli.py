@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -549,6 +552,90 @@ class TestMalformedInput:
         rc = run([a.format(path) for a in argv])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestMachineRefusals:
+    """A machine document the machine model refuses exits 1 with one line
+    that names the field at fault."""
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"start": "zz"}, "start"),
+            ({"accept": "zz"}, "accept"),
+            ({"reject": "zz"}, "reject"),
+            ({"reject": "A"}, "reject"),
+            ({"states": ["A", "R", "A"]}, "states"),
+            ({"delta": ACCEPT_MACHINE["delta"][:-1]}, "delta"),
+            ({"delta": [["A", 0, "R", 0, "S"], *ACCEPT_MACHINE["delta"][1:]]}, "delta"),
+            ({"delta": [["A", 0, "A", 0, "X"], *ACCEPT_MACHINE["delta"][1:]]}, "delta"),
+        ],
+        ids=["start", "accept", "reject", "accept_is_reject", "repeated_state", "missing_entry",
+             "halt_not_absorbing", "bad_move"],
+    )
+    def test_compile_names_the_field(self, tmp_path, capsys, change, field):
+        path = tmp_path / "machine.json"
+        path.write_text(json.dumps({**ACCEPT_MACHINE, **change}))
+        rc = run(["cooklevin", "compile", "--machine", str(path), "--T", "1", "--R", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+
+
+class TestUnusableFlags:
+    """A flag the verb cannot use exits 1 with one line naming it, and
+    writes nothing."""
+
+    @pytest.fixture
+    def base(self, tmp_path):
+        path = tmp_path / "base.json"
+        path.write_text(dumps({"builtin": {"kind": "magic_square"}}))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["game", "show", "--builtin", "consistency", "--n", "3"], "--n"),
+            (["game", "show", "--builtin", "two_of_n_ms", "--n", "2", "--l", "2"], "--l"),
+            (["game", "show", "--builtin", "magic_square", "--n", "2"], "--n"),
+            (["transform", "--transform", "oracularize", "--base", "{base}", "--T", "3"], "--T"),
+            (["transform", "--transform", "introspect", "--base", "{base}", "--T", "3"], "--T"),
+            (["transform", "--transform", "oracularize", "--base", "{base}",
+              "--lift-out", "{lift}"], "--lift-out"),
+            (["eval", "--game", "{base}", "--strategy", "honest", "--seed", "1"], "--seed"),
+        ],
+        ids=["consistency_n", "two_of_n_l", "magic_square_n", "oracularize_T", "introspect_T",
+             "lift_out_without_lift", "exact_eval_seed"],
+    )
+    def test_refused(self, base, tmp_path, capsys, argv, flag):
+        out, lift = tmp_path / "out.json", tmp_path / "lift.json"
+        argv = [a.format(base=base, lift=lift) for a in argv]
+        assert run([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, err
+        assert not out.exists() and not lift.exists()
+
+    def test_size_flag_of_the_builtin_kept(self, capsys):
+        assert run(["game", "show", "--builtin", "consistency", "--l", "3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"builtin": {"kind": "consistency", "l": 3}}
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["syncgames", "syncgames.cli"])
+    def test_python_m_runs_the_cli(self, tmp_path, module):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "eval", "--game", "missing.json", "--strategy", "honest"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot read missing.json")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestBuiltinBounds:

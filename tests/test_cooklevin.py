@@ -17,11 +17,9 @@ from syncgames.cooklevin import (
     always_accept_machine,
     always_reject_machine,
     backtrack_models,
-    brute_force_sat,
     check_assignment,
     clause_access,
     compile_cnf,
-    enumerate_models,
     equality_machine,
     pad_states,
     prefix_predicate_machine,
@@ -30,6 +28,8 @@ from syncgames.cooklevin import (
     witness_to_assignment,
 )
 from syncgames.serialize import cnf_to_dimacs, machine_from_doc, machine_to_doc
+
+from helpers import brute_force_sat, enumerate_models
 
 
 def parity_machine() -> TuringMachine:

@@ -140,6 +140,23 @@ class TestSampledValue:
             with pytest.raises(ValueError, match="not projective"):
                 evaluate(game, strategy)
 
+    @pytest.mark.parametrize("alter", ["repeat", "scale"])
+    def test_elements_not_summing_to_identity_refused(self, alter):
+        """Both families give sum_k (k+1) M_k integer eigenvalues in 1..8:
+        r1's answer-0 projector repeated at its zero answer 1 reads as
+        answer 2, and its answer 3 scaled by 1.5 reads as answer 5."""
+        game, honest = magic_square()
+        elements = list(honest.measurement("r1").elements)
+        if alter == "repeat":
+            elements[1] = elements[0]
+        else:
+            elements[3] = 1.5 * elements[3]
+        bad = Measurement(honest.measurement("r1").labels, elements, kind="projective")
+        table = {x: bad if x == "r1" else honest.measurement(x) for x in game.questions}
+        for evaluate in (value, lambda g, s: sampled_value(g, s, 2000, seed=1)):
+            with pytest.raises(ValueError, match="does not sum to the identity"):
+                evaluate(game, SynchronousStrategy(4, table))
+
     @pytest.mark.parametrize("lazy", [False, True])
     def test_wrong_dimension_refused_with_its_question(self, lazy):
         game, honest = magic_square()

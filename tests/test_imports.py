@@ -185,7 +185,7 @@ def test_package_imports_only_exported_names():
     assert unexported_imports(init, exports) == []
 
 
-SETTABLE_DEFAULTS_CEILING = 32
+SETTABLE_DEFAULTS_CEILING = 29
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:

@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from syncgames.algebra import closeness
 from syncgames.builtins import (
     consistency_game,
     forbidden_pair_game,
@@ -26,8 +25,6 @@ from syncgames.serialize import (
     machine_to_doc,
     matrix_from_doc,
     matrix_to_doc,
-    measurement_from_doc,
-    measurement_to_doc,
     report_to_doc,
     residuals_to_doc,
     strategy_from_doc,
@@ -37,7 +34,7 @@ from syncgames.optimize import perturb_strategy
 from syncgames.rigidity import ms_residuals
 from syncgames.transform import introspect, lift_introspection, lift_oracularize, oracularize
 
-from helpers import random_povm, rng_for
+from helpers import rng_for
 
 
 class TestPrimitives:
@@ -47,13 +44,6 @@ class TestPrimitives:
         doc = matrix_to_doc(m)
         again = matrix_from_doc(json.loads(dumps(doc)))
         assert np.array_equal(again, m)
-
-    def test_measurement_round_trip(self):
-        m = random_povm(3, 4, rng_for("ser", 1))
-        doc = measurement_to_doc(m)
-        again = measurement_from_doc(json.loads(dumps(doc)))
-        assert again.labels == m.labels
-        assert closeness(again, m) == 0.0
 
     def test_seventeen_digit_floats(self):
         text = dumps({"x": 1 / 3})

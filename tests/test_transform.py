@@ -475,12 +475,8 @@ class TestAnswerReduce:
 
     def test_index_maps(self):
         maps = IndexMaps(5)
-        assert [maps.eta(i) for i in range(1, 6)] == [1, 2, 3, 4, 5]
-        assert [maps.lam(i) for i in range(1, 6)] == [6, 7, 8, 9, 10]
-        assert maps.eta_inv(3) == 3 and maps.eta_inv(7) is None
-        assert maps.lam_inv(7) == 2 and maps.lam_inv(3) is None
-        with pytest.raises(ValueError):
-            maps.eta(6)
+        assert [maps.eta_inv(v) for v in range(0, 12)] == [None, 1, 2, 3, 4, 5] + [None] * 6
+        assert [maps.lam_inv(v) for v in range(0, 12)] == [None] * 6 + [1, 2, 3, 4, 5, None]
 
     def test_row2_wiring_against_compiled_formula(self):
         game, strategy = forbidden_pair_game(2)
@@ -646,7 +642,8 @@ class TestProofRuns:
             else:
                 assert list(table) == [(game.answers(x)[0], game.answers(y)[0])]
             for (a, b), run in table.items():
-                outcome, assignment = tableau_assignment(mach, ctx.T, ctx.witness(x, y, a, b))
+                witness = ctx.padded_bits(x, a) + ctx.padded_bits(y, b)
+                outcome, assignment = tableau_assignment(mach, ctx.T, witness)
                 assert run == (outcome, assignment.bits)
 
     @pytest.mark.parametrize("make", [consistency_game, forbidden_pair_game])
@@ -678,12 +675,22 @@ class TestProofRuns:
         for x, y in itertools.product(game.questions, repeat=2):
             mach = ctx.decider.machine_for(x, y)
             for (a, b), run in ctx.proof_table(x, y).items():
-                key = (id(mach), ctx.witness(x, y, a, b))
+                key = (id(mach), ctx.padded_bits(x, a) + ctx.padded_bits(y, b))
                 repeats += key in by_key
                 assert by_key.setdefault(key, run) is run
         assert repeats > 0  # some key is met by more than one pair
         assert len({id(run) for run in by_key.values()}) == len(by_key)
         assert len(ctx._runs) == len(by_key)
+
+    def test_tables_kept_for_the_build(self):
+        """Every pair's table is built once and handed out again as the
+        same object, however many pairs were asked for since (1,024 here)."""
+        game = consistency_game(5)[0]
+        ctx = answer_reduce(game, 4).ar_context
+        pairs = list(itertools.product(game.questions, repeat=2))
+        first = [ctx.proof_table(x, y) for x, y in pairs]
+        assert all(ctx.proof_table(x, y) is t for (x, y), t in zip(pairs, first))
+        assert len(ctx._pi) == len(pairs)
 
     def test_new_build_starts_cold(self):
         game, strategy = consistency_game(2)
