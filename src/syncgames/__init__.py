@@ -70,7 +70,6 @@ from .rigidity import (
 )
 from .transform import (
     BudgetError,
-    IndexMaps,
     answer_reduce,
     gapless_compress,
     introspect,

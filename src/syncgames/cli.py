@@ -117,10 +117,15 @@ _RIGIDITY = {
 
 def _cmd_rigidity(args) -> int:
     kind, residuals = _RIGIDITY[args.kind]
-    # the builtin document checks --n against its bounds
-    game, honest = sz.game_from_doc({"builtin": {"kind": kind, "n": args.n}})
+    size = sz.BUILTIN_GAMES[kind][1]  # "n", or None for a game with no size
+    if size is None and args.n is not None:
+        raise CliError(f"rigidity --kind {args.kind} takes no --n")
+    n = 2 if args.n is None else args.n
+    # the builtin document checks n against its bounds
+    spec = {"kind": kind} if size is None else {"kind": kind, size: n}
+    game, honest = sz.game_from_doc({"builtin": spec})
     strategy = _load_strategy(args.strategy, game, honest)
-    _write(sz.dumps(sz.residuals_to_doc(residuals(strategy, args.n))), args.out)
+    _write(sz.dumps(sz.residuals_to_doc(residuals(strategy, n))), args.out)
     return 0
 
 
@@ -237,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rigidity", help="residual audit of a strategy")
     p.add_argument("--kind", required=True, choices=tuple(_RIGIDITY))
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, help="size of two_of_n and qs (default 2)")
     p.add_argument("--strategy", default="honest")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_rigidity)

@@ -92,6 +92,13 @@ def _field(doc, kind: str, name: str, type_: type, allowed=None, default=_REQUIR
     return value
 
 
+def _only_fields(doc: dict, kind: str, names) -> None:
+    """Refuse a field of doc that its reader would not read."""
+    extra = [k for k in doc if k not in names]
+    if extra:
+        raise ValueError(f"{kind} document has no field {extra[0]!r}")
+
+
 def _labels(kind: str, name: str, value, length=None) -> tuple:
     """An array in field `name` (JSON, or a tuple `_uncanon` read from one), of
     `length` entries if given, as a tuple of labels."""
@@ -241,6 +248,7 @@ def game_from_doc(doc: dict):
         spec = doc["builtin"]
         kind = _field(spec, "builtin", "kind", str, BUILTIN_GAMES)
         build, size, allowed, default = BUILTIN_GAMES[kind]
+        _only_fields(spec, kind, ("kind", size))
         return build() if size is None else build(_field(spec, kind, size, int, allowed, default))
     if "table" in doc:
         spec = doc["table"]
@@ -267,6 +275,7 @@ def game_from_doc(doc: dict):
     name = _field(doc, "transform", "transform", str, TRANSFORMS)
     params = _field(doc, "transform", "params", dict, default={})
     _, takes_T = TRANSFORMS[name]
+    _only_fields(params, name, ("T",) if takes_T else ())
     # a proof has about 14 T^2 variables; tests, demos and benchmarks use T in 2..8
     T = [_field(params, name, "T", int, range(1, 65), None)] if takes_T else []
     base, _ = game_from_doc(_field(doc, "transform", "base", dict))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +47,6 @@ from .games import (
 
 __all__ = [
     "BudgetError",
-    "IndexMaps",
-    "TmDecider",
     "oracularize",
     "lift_oracularize",
     "introspect",
@@ -344,38 +341,15 @@ def lift_introspection(game: Game, strategy: SynchronousStrategy) -> Synchronous
 # answer reduction
 
 
-@dataclass(frozen=True)
-class IndexMaps:
-    """Proof indexing: answer bit i of player one sits at witness index
-    eta(i) = i, of player two at lambda(i) = T + i; eta_inv and lam_inv
-    read a witness index back as its answer bit, or None."""
-
-    T: int
-
-    def eta_inv(self, v: int) -> int | None:
-        return v if 1 <= v <= self.T else None
-
-    def lam_inv(self, v: int) -> int | None:
-        return v - self.T if self.T < v <= 2 * self.T else None
-
-
-@dataclass
-class TmDecider:
-    """Uniform family of hardwired deciders D_{x,y} with one state count."""
-
-    machine_for: object
-    state_count: int
-
-
-def synthesize_tm_decider(game: Game) -> TmDecider:
+def synthesize_tm_decider(game: Game):
     """Prefix-readable deciders for every question pair of a tiny game.
 
-    For a nontrivial ordered pair (x, y) the machine decides the
-    projection exists-b D(x, y, a, b) of the winning predicate on the
-    encoded bits of the first answer; trivial pairs get the always-accept
-    machine.  All machines are padded to one common state count so the
-    Cook-Levin variable count is pair-independent.  Pairs with the same
-    projection share one machine, built and padded once.
+    Returns machine_for(x, y).  For a nontrivial ordered pair the machine
+    decides the projection exists-b D(x, y, a, b) of the winning predicate
+    on the encoded bits of the first answer; trivial pairs get the
+    always-accept machine.  All machines are padded to one state count so
+    the Cook-Levin variable count is pair-independent.  Pairs with the
+    same projection share one machine, built and padded once.
     """
     keys: dict = {}
     # key None: the always-accept machine of trivial and diagonal pairs
@@ -398,7 +372,7 @@ def synthesize_tm_decider(game: Game) -> TmDecider:
     def machine_for(x, y) -> TuringMachine:
         return padded[keys.get((x, y))]
 
-    return TmDecider(machine_for=machine_for, state_count=state_count)
+    return machine_for
 
 
 @functools.cache
@@ -410,59 +384,51 @@ def _padded_codes(num_answers: int, T: int) -> tuple[tuple[int, ...], ...]:
     return tuple(encode(k) + pad for k in range(num_answers))
 
 
-class _ARContext:
-    """Shared data for an answer-reduced game and its honest lift."""
+class _ARQuestions:
+    """Question space of an answer-reduced game, with the deciders and
+    proof runs that its build and honest lifts share.
 
-    def __init__(self, game: Game, T: int, decider: TmDecider):
+    Questions X^orac x ([L] + [L]^2 + [L]^3) are indexed, never
+    enumerated: iteration raises BudgetError.  The decider of pair (x, y)
+    runs on a witness holding x's padded encoded answer at cells 1..T and
+    y's at T+1..2T, so proof index i <= T is answer bit i of the first
+    player and T < i <= 2T is bit i - T of the second.  Each distinct
+    (machine, witness) runs once per build, shared by every pair's table.
+    """
+
+    def __init__(self, game: Game, T: int):
         self.game = game
         self.T = T
-        self.decider = decider
-        self.maps = IndexMaps(T)
+        self.machine_for = synthesize_tm_decider(game)
         base = list(game.questions)
         self.base_questions = base
-        self.n_base = len(base)
-        rep = decider.machine_for(base[0], base[0])
-        layout = TableauLayout(rep, T, 2 * T)
-        self.L = layout.num_vars
+        self.n_base = n = len(base)
+        self.L = L = TableauLayout(self.machine_for(base[0], base[0]), T, 2 * T).num_vars
+        self.n_proof = L + L * L + L**3
+        self._len = (n + n * n) * self.n_proof
         self._pi: dict = {}  # (x, y) -> proof table
-        # (machine, witness) -> (outcome, proof bits); pairs whose deciders
-        # share a machine share their runs
-        self._runs: dict = {}
-        self._codes: dict = {}
-        for x in base:  # the budget check, for every question at build time
-            self.padded_codes(x)
+        self._runs: dict = {}  # (machine, witness) -> (outcome, proof bits)
+        # the time-budget check of the reduction: a synthesized decider
+        # halts within the width of the answer it reads, so its run fits
+        # the budget T whenever that width does
+        for x in base:
+            width, _ = index_answer_bits(len(game.answers(x)))
+            if width > T:
+                raise ValueError(f"answers of {x!r} need {width} bits, above the budget T={T}")
 
     def padded_codes(self, x) -> tuple[tuple[int, ...], ...]:
-        """Encoded answers of x padded to T bits, in answer order.
-
-        This is the time-budget check of the reduction: a synthesized
-        decider halts within the width of the answer it reads, so its run
-        fits the budget T whenever that width does.
-        """
-        codes = self._codes.get(x)
-        if codes is None:
-            n = len(self.game.answers(x))
-            width, _ = index_answer_bits(n)
-            if width > self.T:
-                raise ValueError(
-                    f"answers of {x!r} need {width} bits, above the budget T={self.T}"
-                )
-            codes = self._codes[x] = _padded_codes(n, self.T)
-        return codes
+        """Encoded answers of x padded to T bits, in answer order."""
+        return _padded_codes(len(self.game.answers(x)), self.T)
 
     def padded_bits(self, x, a) -> tuple[int, ...]:
         return self.padded_codes(x)[self.game.answers(x).index(a)]
 
     def proof_table(self, x, y) -> dict:
-        """(a, b) -> (outcome, proof bit tuple) for the run on its witness.
-
-        Each distinct (machine, witness) runs once per context; tables of
-        pairs that share a decider machine hold the same run objects.
-        """
+        """(a, b) -> (outcome, proof bit tuple) for the run on its witness."""
         table = self._pi.get((x, y))
         if table is not None:
             return table
-        mach = self.decider.machine_for(x, y)
+        mach = self.machine_for(x, y)
         ans_x, ans_y = self.game.answers(x), self.game.answers(y)
         if self.game.nontrivial(x, y):
             pairs = itertools.product(range(len(ans_x)), range(len(ans_y)))
@@ -482,23 +448,6 @@ class _ARContext:
         self._pi[(x, y)] = table
         return table
 
-    def clauses(self, x, y, j, k, l):
-        return clause_access(self.decider.machine_for(x, y), self.T, 2 * self.T, j, k, l)
-
-
-class _ARQuestions:
-    """Lazy indexed question space X^orac x ([L] + [L]^2 + [L]^3).
-
-    It is indexed, never enumerated: iteration raises BudgetError.
-    """
-
-    def __init__(self, ctx: _ARContext):
-        self.ctx = ctx
-        n, L = ctx.n_base, ctx.L
-        self.n_game = n + n * n
-        self.n_proof = L + L * L + L**3
-        self._len = self.n_game * self.n_proof
-
     def __len__(self):
         return self._len
 
@@ -506,8 +455,7 @@ class _ARQuestions:
         if not 0 <= idx < self._len:
             raise IndexError(idx)
         g_idx, p_idx = divmod(idx, self.n_proof)
-        n, L = self.ctx.n_base, self.ctx.L
-        base = self.ctx.base_questions
+        n, L, base = self.n_base, self.L, self.base_questions
         if g_idx < n:
             g = ("iso", base[g_idx])
         else:
@@ -519,8 +467,7 @@ class _ARQuestions:
             j, k = divmod(p_idx - L, L)
             p = (j + 1, k + 1)
         else:
-            rest = p_idx - L - L * L
-            j, kl = divmod(rest, L * L)
+            j, kl = divmod(p_idx - L - L * L, L * L)
             k, l = divmod(kl, L)
             p = (j + 1, k + 1, l + 1)
         return (g, p)
@@ -535,7 +482,7 @@ class _ARQuestions:
     def maybe_nontrivial(self, xi, yi):
         """Index pairs the rule can engage: the diagonal, or exactly one
         side asking a single proof index (rows 2-4)."""
-        L, n_proof = self.ctx.L, self.n_proof
+        L, n_proof = self.L, self.n_proof
         return (xi == yi) | ((xi % n_proof < L) != (yi % n_proof < L))
 
 
@@ -562,9 +509,7 @@ def answer_reduce(game: Game, T: int) -> Game:
     """
     if T < 1:
         raise ValueError("time budget must be positive")
-    ctx = _ARContext(game, T, synthesize_tm_decider(game))
-    questions = _ARQuestions(ctx)
-    maps = ctx.maps
+    questions = _ARQuestions(game, T)
 
     def row_mask(q1, q2):
         """Rows 2-4 for q1 = (game question, single index), or None."""
@@ -578,13 +523,13 @@ def answer_reduce(game: Game, T: int) -> Game:
             # the clauses of the decider's tableau over its indices
             if i not in p2 or not game.nontrivial(x, y):
                 return None
-            found = ctx.clauses(x, y, *p2) or ()
+            found = clause_access(questions.machine_for(x, y), T, 2 * T, *p2) or ()
             mask = np.zeros((len(_AR_ANS1), len(_AR_ANS3)), dtype=bool)
             for k, a2 in enumerate(_AR_ANS3):
                 assign = {}
                 if any(assign.setdefault(var, bit) != bit for var, bit in zip(p2, a2)):
                     continue
-                mask[_AR_ANS1.index(assign[i]), k] = all(
+                mask[assign[i], k] = all(
                     any((assign[abs(lit)] == 1) == (lit > 0) for lit in clause)
                     for clause in found
                 )
@@ -596,7 +541,7 @@ def answer_reduce(game: Game, T: int) -> Game:
             slots = [
                 s
                 for s, j in enumerate(p2)
-                if (z == x and maps.eta_inv(i) == j) or (z == y and maps.lam_inv(i) == j)
+                if (z == x and i == j <= T) or (z == y and i - T == j <= T)
             ]
             if not slots or not game.nontrivial(x, y):
                 return None
@@ -624,7 +569,7 @@ def answer_reduce(game: Game, T: int) -> Game:
         f"{game.name}.ans", questions, _ar_answers, rule,
         nontrivial_pairs=refuse_pairs, maybe_nontrivial=questions.maybe_nontrivial,
     )
-    out.ar_context = ctx
+    out.ar_context = questions
     return out
 
 
@@ -641,7 +586,7 @@ def lift_answer_reduce(
     designated answer) and read the queried bits off the Cook-Levin proof
     of their run; isolated questions report bits of their own padded
     encoded answer.  Pass the already-built reduced game to share its
-    decider context.
+    deciders and proof runs.
     """
     _require_oracularizable(game, strategy)
     if reduced is None:
@@ -649,7 +594,7 @@ def lift_answer_reduce(
     return _lift_reduced(reduced.ar_context, strategy)
 
 
-def _lift_reduced(ctx: _ARContext, strategy: SynchronousStrategy) -> SynchronousStrategy:
+def _lift_reduced(ctx: _ARQuestions, strategy: SynchronousStrategy) -> SynchronousStrategy:
     """The answer-reduction lift of an oracularizable strategy.
 
     Each question sums the elements of its source measurement (the base
@@ -693,15 +638,9 @@ def _lift_reduced(ctx: _ARContext, strategy: SynchronousStrategy) -> Synchronous
 
 
 def gapless_compress(game: Game, T: int) -> Game:
-    """Introspection followed by answer reduction.
-
-    The compressed game keeps references to the intermediate introspection
-    game (attribute intro_game) so honest lifts can share its context.
-    """
-    intro = introspect(game)
-    reduced = answer_reduce(intro, T)
-    reduced.intro_game = intro
-    return reduced
+    """Introspection followed by answer reduction; the introspection game
+    is ar_context.game of the result."""
+    return answer_reduce(introspect(game), T)
 
 
 def lift_gapless_compress(

@@ -192,7 +192,7 @@ def test_criterion_07_gapless_compression_completeness():
     est, err = sampled_value(compressed, lifted, 100_000, seed=70)
     assert est + 3 * err >= 1.0 - 1e-12
     # drive the proof-query rows directly: engaged pairs must all win
-    intro = compressed.intro_game
+    intro = compressed.ar_context.game
     ctx = compressed.ar_context
     ev = StrategyEvaluator(compressed, lifted)
     rng = rng_for("accept7", 0)

@@ -603,9 +603,10 @@ class TestUnusableFlags:
             (["transform", "--transform", "oracularize", "--base", "{base}",
               "--lift-out", "{lift}"], "--lift-out"),
             (["eval", "--game", "{base}", "--strategy", "honest", "--seed", "1"], "--seed"),
+            (["rigidity", "--kind", "ms", "--n", "3"], "--n"),
         ],
         ids=["consistency_n", "two_of_n_l", "magic_square_n", "oracularize_T", "introspect_T",
-             "lift_out_without_lift", "exact_eval_seed"],
+             "lift_out_without_lift", "exact_eval_seed", "rigidity_ms_n"],
     )
     def test_refused(self, base, tmp_path, capsys, argv, flag):
         out, lift = tmp_path / "out.json", tmp_path / "lift.json"
@@ -618,6 +619,14 @@ class TestUnusableFlags:
     def test_size_flag_of_the_builtin_kept(self, capsys):
         assert run(["game", "show", "--builtin", "consistency", "--l", "3"]) == 0
         assert json.loads(capsys.readouterr().out) == {"builtin": {"kind": "consistency", "l": 3}}
+
+    @pytest.mark.parametrize("kind", ["two_of_n", "qs"])
+    def test_rigidity_size_defaults_to_2(self, capsys, kind):
+        assert run(["rigidity", "--kind", kind]) == 0
+        absent = capsys.readouterr().out
+        assert run(["rigidity", "--kind", kind, "--n", "2"]) == 0
+        assert capsys.readouterr().out == absent
+        assert json.loads(absent)["max_residual"] <= 1e-10
 
 
 class TestModuleEntry:

@@ -177,3 +177,28 @@ def test_strategy_bool_equal_to_its_number(files, row):
     element["re"][0][:2] = row
     lines = check_mutant(files, "strategy", doc, ("measurements", '"s11"', 0, "re"), "retype")
     assert lines == ["error: matrix fields 're' and 'im' must be 4 x 4 arrays of numbers"]
+
+
+@pytest.mark.parametrize(
+    "kind, doc, line",
+    [
+        ("builtin", {"builtin": {"kind": "magic_square", "n": 3, "zz": 1}},
+         "error: magic_square document has no field 'n'"),
+        ("builtin", {"builtin": {"kind": "consistency", "l": 2, "zz": 1}},
+         "error: consistency document has no field 'zz'"),
+        ("builtin", {"builtin": {"kind": "two_of_n_ms", "l": 2, "n": 2}},
+         "error: two_of_n_ms document has no field 'l'"),
+        ("transform", {"transform": "oracularize", "params": {"T": 3},
+                       "base": {"builtin": {"kind": "consistency", "l": 2}}},
+         "error: oracularize document has no field 'T'"),
+        ("transform", {"transform": "answer_reduce", "params": {"T": 3, "R": 6},
+                       "base": {"builtin": {"kind": "consistency", "l": 2}}},
+         "error: answer_reduce document has no field 'R'"),
+    ],
+    ids=["magic_square_n", "builtin_unknown", "builtin_other_size", "oracularize_T",
+         "answer_reduce_R"],
+)
+def test_unread_field_refused(files, kind, doc, line):
+    # each loaded before, its field ignored: the Magic Square document
+    # evaluated to 1 and oracularize ran with no time budget to use
+    assert check_mutant(files, kind, doc, (), "resize") == [line]

@@ -186,6 +186,7 @@ def test_package_imports_only_exported_names():
 
 
 SETTABLE_DEFAULTS_CEILING = 29
+SRC_LINES_CEILING = 4122
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -234,3 +235,10 @@ def test_settable_defaults_bounded():
     total = sum(settable_defaults(p.read_text()) for p in MODULES)
     total += settable_defaults(Path(syncgames.__file__).read_text())
     assert total <= SETTABLE_DEFAULTS_CEILING
+
+
+def test_src_lines_bounded():
+    """A change that grows src/syncgames raises this ceiling in its own diff."""
+    total = sum(len(p.read_text().splitlines()) for p in MODULES)
+    total += len(Path(syncgames.__file__).read_text().splitlines())
+    assert total <= SRC_LINES_CEILING

@@ -30,7 +30,6 @@ from syncgames.optimize import haar_unitary, perturb_strategy
 from syncgames.serialize import machine_to_doc
 from syncgames.transform import (
     BudgetError,
-    IndexMaps,
     INTRO_SPECIALS,
     answer_reduce,
     gapless_compress,
@@ -94,7 +93,7 @@ PINNED_WINS = {
 def reduced_lift(name: str, strategy):
     """Honest lift of a base strategy onto reduced_games()[name]."""
     game = reduced_games()[name]
-    if hasattr(game, "intro_game"):
+    if name.endswith(".intro.ans"):
         return lift_gapless_compress(consistency_game(2)[0], strategy, 8, compressed=game)
     ctx = game.ar_context
     return lift_answer_reduce(ctx.game, strategy, ctx.T, reduced=game)
@@ -345,7 +344,7 @@ class TestSynthesizedDeciders:
         for x, y in game.nontrivial_pairs():
             if x == y:
                 continue
-            machine = decider.machine_for(x, y)
+            machine = decider(x, y)
             _, encode = index_answer_bits(len(game.answers(x)))
             for k, a in enumerate(game.answers(x)):
                 bits = list(encode(k))
@@ -359,8 +358,8 @@ class TestSynthesizedDeciders:
         decider = synthesize_tm_decider(game)
         sizes = set()
         for x, y in game.nontrivial_pairs():
-            sizes.add(len(decider.machine_for(x, y).states))
-        sizes.add(len(decider.machine_for((0, 0), (0, 0)).states))
+            sizes.add(len(decider(x, y).states))
+        sizes.add(len(decider((0, 0), (0, 0)).states))
         assert len(sizes) == 1
 
     # sha256 of the state count, then "x|y|<machine document as compact
@@ -377,10 +376,11 @@ class TestSynthesizedDeciders:
     def test_introspection_deciders_pinned(self, name, make):
         game = introspect(make(2)[0])
         decider = synthesize_tm_decider(game)
-        digest = hashlib.sha256(f"{decider.state_count}\n".encode())
+        q = game.questions[0]
+        digest = hashlib.sha256(f"{len(decider(q, q).states)}\n".encode())
         encoded = {}
         for x, y in game.nontrivial_pairs():
-            machine = decider.machine_for(x, y)
+            machine = decider(x, y)
             if id(machine) not in encoded:
                 encoded[id(machine)] = json.dumps(machine_to_doc(machine), separators=(",", ":"))
             digest.update(f"{x!r}|{y!r}|{encoded[id(machine)]}\n".encode())
@@ -404,7 +404,7 @@ class TestSynthesizedDeciders:
         machines = {}
         for x, y in game.nontrivial_pairs():
             width, _ = index_answer_bits(len(game.answers(x)))
-            machine = decider.machine_for(x, y)
+            machine = decider(x, y)
             machines[(id(machine), width)] = (machine, width)
         assert len(machines) > 1
         for machine, width in machines.values():
@@ -473,10 +473,34 @@ class TestAnswerReduce:
         assert sizes <= {2, 4, 8}
         assert len(labels) <= 14
 
-    def test_index_maps(self):
-        maps = IndexMaps(5)
-        assert [maps.eta_inv(v) for v in range(0, 12)] == [None, 1, 2, 3, 4, 5] + [None] * 6
-        assert [maps.lam_inv(v) for v in range(0, 12)] == [None] * 6 + [1, 2, 3, 4, 5, None]
+    def test_oracle_isolated_slots(self):
+        """Rows 3-4: oracle index i and an isolated slot j on z read the same
+        answer bit exactly when z == x and i == j <= T (the first player's
+        bit i) or z == y and i - T == j <= T (the second player's bit
+        i - T); the engaged mask makes that slot repeat the oracle bit."""
+        T = 4
+        game = forbidden_pair_game(2)[0]
+        reduced = answer_reduce(game, T)
+        x, y = next(p for p in game.nontrivial_pairs() if p[0] != p[1])
+        far = reduced.ar_context.L  # a slot past both answers, matching no i
+        assert far > 2 * T + 1
+        engaged = 0
+        for i, j, z, slot in itertools.product(
+            range(1, 2 * T + 2), range(1, 2 * T + 2), (x, y), (0, 1)
+        ):
+            q1 = (("ora", x, y), i)
+            q2 = (("iso", z), (j, far) if slot == 0 else (far, j))
+            expected = (z == x and i == j <= T) or (z == y and i - T == j <= T)
+            mask = reduced.rule(q1, q2)
+            assert (mask is not None) == expected, (i, j, z, slot)
+            transposed = reduced.rule(q2, q1)
+            assert (transposed is not None) == expected, (i, j, z, slot)
+            if expected:
+                engaged += 1
+                want = [[a2[slot] == a1 for a2 in reduced.answers(q2)] for a1 in (0, 1)]
+                assert mask.tolist() == want
+                assert transposed.tolist() == mask.T.tolist()
+        assert engaged == 2 * 2 * T  # T values of i per player, two slots each
 
     def test_row2_wiring_against_compiled_formula(self):
         game, strategy = forbidden_pair_game(2)
@@ -496,7 +520,7 @@ class TestAnswerReduce:
             q2 = (("ora", x, y), jkl)
             assert reduced.nontrivial(q1, q2)
             if (x, y) not in compiled:
-                compiled[(x, y)] = compile_cnf(ctx.decider.machine_for(x, y), T, 2 * T)
+                compiled[(x, y)] = compile_cnf(ctx.machine_for(x, y), T, 2 * T)
             cnf = compiled[(x, y)]
             for a1 in reduced.answers(q1):
                 for a2 in reduced.answers(q2):
@@ -635,7 +659,7 @@ class TestProofRuns:
         """Every entry of the pairs' proof tables equals a fresh run."""
         game = ctx.game
         for x, y in pairs:
-            mach = ctx.decider.machine_for(x, y)
+            mach = ctx.machine_for(x, y)
             table = ctx.proof_table(x, y)
             if game.nontrivial(x, y):
                 assert list(table) == list(itertools.product(game.answers(x), game.answers(y)))
@@ -673,7 +697,7 @@ class TestProofRuns:
         ctx = answer_reduce(game, 4).ar_context
         by_key, repeats = {}, 0
         for x, y in itertools.product(game.questions, repeat=2):
-            mach = ctx.decider.machine_for(x, y)
+            mach = ctx.machine_for(x, y)
             for (a, b), run in ctx.proof_table(x, y).items():
                 key = (id(mach), ctx.padded_bits(x, a) + ctx.padded_bits(y, b))
                 repeats += key in by_key
@@ -697,6 +721,7 @@ class TestProofRuns:
         for build in (lambda: answer_reduce(game, 4), lambda: gapless_compress(game, 8)):
             used = build()
             ctx = used.ar_context
+            assert ctx is used.questions
             x, y = next(p for p in ctx.game.nontrivial_pairs() if p[0] != p[1])
             ctx.proof_table(x, y)
             assert ctx._runs
@@ -781,7 +806,7 @@ class TestLiftAnswerReduce:
             else:
                 a, b = game.answers(x)[0], game.answers(y)[0]
             if (x, y) not in compiled:
-                compiled[(x, y)] = compile_cnf(ctx.decider.machine_for(x, y), T, 2 * T)
+                compiled[(x, y)] = compile_cnf(ctx.machine_for(x, y), T, 2 * T)
             cnf = compiled[(x, y)]
             _, proof = ctx.proof_table(x, y)[(a, b)]
             expected = 1.0
@@ -859,7 +884,7 @@ class TestGaplessCompress:
         compressed = gapless_compress(game, 8)
         lifted = lift_gapless_compress(game, strategy, 8, compressed=compressed)
         x, y = next(
-            (x, y) for x, y in compressed.intro_game.nontrivial_pairs()
+            (x, y) for x, y in compressed.ar_context.game.nontrivial_pairs()
             if x != y and y in INTRO_SPECIALS
         )
         for p in (1, (1, 2)):
@@ -869,7 +894,7 @@ class TestGaplessCompress:
     def test_engaged_pairs_all_win_for_perfect_base(self):
         game, strategy = consistency_game(2)
         compressed = gapless_compress(game, 8)
-        intro = compressed.intro_game
+        intro = compressed.ar_context.game
         ctx = compressed.ar_context
         lifted = lift_gapless_compress(game, strategy, 8, compressed=compressed)
         ev = StrategyEvaluator(compressed, lifted)
