@@ -11,7 +11,7 @@ import numpy as np
 from syncgames import classical_value, magic_square, ms_residuals, value
 
 game, honest = magic_square()
-print(f"questions: {game.question_count()} "
+print(f"questions: {len(game.questions)} "
       f"({sum(1 for q in game.questions if q.startswith('s'))} variables)")
 
 report = value(game, honest)

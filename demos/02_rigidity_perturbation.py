@@ -10,11 +10,11 @@ import numpy as np
 
 from syncgames import magic_square, ms_residuals, perturb_strategy
 
-_, honest = magic_square()
+game, honest = magic_square()
 
 print(f"{'magnitude':>10} {'deficit eps':>12} {'max residual':>13} {'bound':>10}")
 for magnitude in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4):
-    perturbed = perturb_strategy(honest, magnitude, seed=17)
+    perturbed = perturb_strategy(honest, magnitude, 17, list(game.questions))
     audit = ms_residuals(perturbed)
     eps = audit.value_deficit
     bound = 32 * 15 * np.sqrt(max(eps, 0.0))

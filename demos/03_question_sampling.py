@@ -19,7 +19,7 @@ from syncgames import (
 
 n = 2
 game, honest = question_sampling(n)
-print(f"QS_{n}: {game.question_count()} questions, honest dimension {honest.dim}")
+print(f"QS_{n}: {len(game.questions)} questions, honest dimension {honest.dim}")
 print(f"honest value: {value(game, honest).value:.12f}")
 
 sa = honest.measurement("S_A")

@@ -27,7 +27,7 @@ print(f"base game: {game.name}, value {base_value:.6f}, dim {honest.dim}")
 intro = introspect(game)
 lifted = lift_introspection(game, honest)
 intro_value = value(intro, lifted).value
-print(f"introspected: {intro.question_count()} questions, "
+print(f"introspected: {len(intro.questions)} questions, "
       f"lifted value {intro_value:.6f} at dim {lifted.dim}")
 
 T = 8

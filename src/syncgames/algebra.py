@@ -27,7 +27,6 @@ __all__ = [
     "bitstrings",
     "projectivize",
     "paste",
-    "is_hermitian",
     "is_observable",
 ]
 
@@ -65,15 +64,11 @@ def _psd_defect(a: np.ndarray) -> float:
     return max(_hermitian_defect(a), -np.linalg.eigvalsh(a).min())
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    return bool(_hermitian_defect(_as_operator(a)) <= DEFAULT_TOL)
-
-
 def is_observable(a: np.ndarray) -> bool:
     """Hermitian unitary: self-adjoint and squares to the identity."""
     a = _as_operator(a)
     eye = np.eye(a.shape[0])
-    return is_hermitian(a) and bool(np.abs(a @ a - eye).max() <= DEFAULT_TOL)
+    return bool(max(_hermitian_defect(a), np.abs(a @ a - eye).max()) <= DEFAULT_TOL)
 
 
 @dataclass
@@ -114,19 +109,19 @@ class Measurement:
     def sum(self) -> np.ndarray:
         return np.sum(self.elements, axis=0)
 
-    def validate(self, eps: float = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         """Raise ValueError if the elements violate the declared kind
-        within eps; each message opens with what the family is not."""
+        within DEFAULT_TOL; each message opens with what the family is not."""
         if self.kind == "general":
             return
-        if np.abs(self.sum() - np.eye(self.dim)).max() > eps:
+        if np.abs(self.sum() - np.eye(self.dim)).max() > DEFAULT_TOL:
             raise ValueError("not normalized: its elements do not sum to the identity")
         if self.kind == "projective":
             defect, problem = _projection_defect, "not projective: element {!r} is not a projection"
         else:
             defect, problem = _psd_defect, "not a POVM: element {!r} is not PSD"
         for lab, e in zip(self.labels, self.elements):
-            if defect(e) > eps:
+            if defect(e) > DEFAULT_TOL:
                 raise ValueError(problem.format(lab))
 
 
@@ -278,7 +273,7 @@ def projectivize(m: Measurement) -> Measurement:
         used = used + p
     fixed.append(eye - used)
     out = Measurement(m.labels, fixed, kind="projective")
-    out.validate(1e-8)
+    out.validate()
     return out
 
 

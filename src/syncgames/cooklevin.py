@@ -531,7 +531,7 @@ def check_assignment(cnf: CNF, assignment: Assignment):
     return True, None
 
 
-def backtrack_models(cnf: CNF, limit: int | None = None):
+def backtrack_models(cnf: CNF):
     """All satisfying assignments via prefix-pruned depth-first search.
 
     Prunes each prefix that falsifies a clause, so it handles the variable
@@ -551,8 +551,6 @@ def backtrack_models(cnf: CNF, limit: int | None = None):
         return True
 
     def rec(v: int):
-        if limit is not None and len(out) >= limit:
-            return
         if v > cnf.num_vars:
             out.append(Assignment(tuple(bits)))
             return

@@ -117,10 +117,7 @@ class Game:
         self._answer_cache: dict = {}
 
     def __repr__(self):
-        return f"Game({self.name!r}, {self.question_count()} questions)"
-
-    def question_count(self) -> int:
-        return len(self.questions)
+        return f"Game({self.name!r}, {len(self.questions)} questions)"
 
     def answers(self, x) -> tuple:
         try:
@@ -234,11 +231,6 @@ class SynchronousStrategy:
         m = self._builder(x) if spec is None else _kron_measurement(*spec)
         _check_dim(x, m.dim, self.dim)
         return m
-
-    def question_labels(self):
-        if self._table is None:
-            raise ValueError("lazy strategy does not enumerate its questions")
-        return list(self._table)
 
     def validate(self) -> None:
         if self._table is None:
@@ -476,7 +468,7 @@ def value(game: Game, strategy: SynchronousStrategy) -> EvaluationReport:
     summation in the fixed order of nontrivial_pairs, so results are
     bit-stable.
     """
-    n = game.question_count()
+    n = len(game.questions)
     ev = StrategyEvaluator(game, strategy)
     pairs = list(game.nontrivial_pairs())
     probs = [ev.win_probability(x, y) for x, y in pairs]
@@ -514,7 +506,7 @@ def sampled_value(
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    n = game.question_count()
+    n = len(game.questions)
     xi = rng.integers(0, n, size=samples)
     yi = rng.integers(0, n, size=samples)
     unif = rng.random(size=samples)
@@ -618,30 +610,36 @@ def table_game(
     pairs (a, b); unlisted pairs are trivial.  Diagonal pairs are refused
     (the game accepts exactly a = b there), as are questions listed twice
     or without answers, pairs naming other questions and listed pairs
-    without accept sets.
+    without accept sets; each refusal names the argument (the table
+    document's field) at fault.
     """
     questions = list(questions)
     seen = set()
     for x in questions:
         if x in seen:
-            raise ValueError(f"table lists question {x!r} twice")
+            raise ValueError(f"table field 'questions' lists question {x!r} twice")
         if x not in answers:
-            raise ValueError(f"table question {x!r} has no answer list")
+            raise ValueError(f"table field 'answers' has no list for question {x!r} of 'questions'")
         seen.add(x)
     answers = {x: tuple(answers[x]) for x in questions}
     nontrivial_pairs = list(nontrivial_pairs)
-    for x, y in nontrivial_pairs + list(accept):
-        if x == y:
-            raise ValueError(f"table lists the diagonal pair {(x, y)!r}; it always accepts a = b")
-        if x not in answers or y not in answers:
-            raise ValueError(f"table pair {(x, y)!r} names a question not in the table")
+    for field, entries in (("nontrivial_pairs", nontrivial_pairs), ("accept", accept)):
+        for x, y in entries:
+            if x == y:
+                raise ValueError(
+                    f"table field {field!r} lists the diagonal pair {(x, y)!r}; it always accepts a = b"
+                )
+            if x not in answers or y not in answers:
+                raise ValueError(
+                    f"table field {field!r} pair {(x, y)!r} names a question not in 'questions'"
+                )
     accept_sets = {}
     for (x, y), pairs in accept.items():
         accept_sets[(x, y)] = frozenset(pairs)
         accept_sets.setdefault((y, x), frozenset((b, a) for a, b in pairs))
     for pair in nontrivial_pairs:
         if pair not in accept_sets:
-            raise ValueError(f"nontrivial pair {pair!r} has no accept set")
+            raise ValueError(f"table field 'accept' has no entry for nontrivial pair {pair!r}")
     listed = {p for x, y in nontrivial_pairs for p in ((x, y), (y, x))}
 
     def rule(x, y):

@@ -40,9 +40,9 @@ __all__ = [
 @dataclass(frozen=True)
 class SeesawConfig:
     dim: int
-    restarts: int = 20
-    max_iters: int = 200
-    seed: int = 0
+    restarts: int
+    max_iters: int
+    seed: int
     improvement_tol: float = 1e-10
 
     def __post_init__(self):
@@ -303,18 +303,16 @@ def classical_value(game: Game, cap: int = 10**8):
 
 
 def perturb_strategy(
-    strategy: SynchronousStrategy, magnitude: float, seed: int, questions=None
+    strategy: SynchronousStrategy, magnitude: float, seed: int, questions
 ) -> SynchronousStrategy:
     """Conjugate each question's measurement by exp(i * magnitude * H).
 
-    H is an independent random Hermitian of unit tau-norm per question;
-    projectivity and completeness are preserved exactly.  For lazily
-    built strategies pass the question list explicitly.
+    H is an independent random Hermitian of unit tau-norm per question,
+    drawn from its position in questions (the game's question list);
+    projectivity and completeness are preserved exactly.
     """
     if magnitude < 0:
         raise ValueError("magnitude must be non-negative")
-    if questions is None:
-        questions = strategy.question_labels()
     table = {}
     for idx, x in enumerate(questions):
         m = strategy.measurement(x)

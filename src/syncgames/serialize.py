@@ -197,9 +197,7 @@ def matrix_from_doc(doc: dict) -> np.ndarray:
         raise refusal from None
 
 
-def strategy_to_doc(strategy: SynchronousStrategy, questions=None) -> dict:
-    if questions is None:
-        questions = strategy.question_labels()
+def strategy_to_doc(strategy: SynchronousStrategy, questions) -> dict:
     meas = {}
     for q in questions:
         m = strategy.measurement(q)

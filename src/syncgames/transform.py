@@ -578,20 +578,23 @@ def lift_answer_reduce(
     strategy: SynchronousStrategy,
     T: int,
     *,
-    reduced: Game | None = None,
+    reduced: Game,
 ) -> SynchronousStrategy:
-    """Honest lift onto the answer-reduced game, same dimension.
+    """Honest lift onto reduced = answer_reduce(game, T), same dimension.
 
     Oracle questions measure M^x M^y jointly (base-trivial pairs report a
     designated answer) and read the queried bits off the Cook-Levin proof
     of their run; isolated questions report bits of their own padded
-    encoded answer.  Pass the already-built reduced game to share its
-    deciders and proof runs.
+    encoded answer.  The lift shares reduced's deciders and proof runs; a
+    reduced game built from another game object or budget is refused.
     """
+    ctx = reduced.ar_context
+    if ctx.game is not game:
+        raise ValueError("reduced was not built from this game")
+    if ctx.T != T:
+        raise ValueError(f"reduced was built at T={ctx.T}, not T={T}")
     _require_oracularizable(game, strategy)
-    if reduced is None:
-        reduced = answer_reduce(game, T)
-    return _lift_reduced(reduced.ar_context, strategy)
+    return _lift_reduced(ctx, strategy)
 
 
 def _lift_reduced(ctx: _ARQuestions, strategy: SynchronousStrategy) -> SynchronousStrategy:
@@ -648,10 +651,16 @@ def lift_gapless_compress(
     strategy: SynchronousStrategy,
     T: int,
     *,
-    compressed: Game | None = None,
+    compressed: Game,
 ) -> SynchronousStrategy:
-    """Compose the introspection and answer-reduction lifts."""
+    """Compose the introspection and answer-reduction lifts onto
+    compressed = gapless_compress(game, T).
+
+    A compressed game built at another budget is refused.  Its base is not
+    checked: the introspection game it reduces does not name its base.
+    """
+    ctx = compressed.ar_context
+    if ctx.T != T:
+        raise ValueError(f"compressed was built at T={ctx.T}, not T={T}")
     lifted_intro = lift_introspection(game, strategy)  # checks oracularizability
-    if compressed is None:
-        compressed = gapless_compress(game, T)
-    return _lift_reduced(compressed.ar_context, lifted_intro)
+    return _lift_reduced(ctx, lifted_intro)

@@ -103,7 +103,7 @@ def test_criterion_02_honest_qs_statistics():
 
 
 def test_criterion_03_rigidity_residuals():
-    _, ms_honest = magic_square()
+    ms_game, ms_honest = magic_square()
     assert ms_residuals(ms_honest).max_residual <= 1e-10
     _, two_honest = two_of_n_ms(2)
     assert two_of_n_residuals(two_honest, 2).max_residual <= 1e-10
@@ -113,7 +113,7 @@ def test_criterion_03_rigidity_residuals():
     bound_constant = 32 * 15
     checked = 0
     for k, magnitude in enumerate(np.linspace(4e-4, 1.5e-2, 50)):
-        perturbed = perturb_strategy(ms_honest, float(magnitude), seed=1000 + k)
+        perturbed = perturb_strategy(ms_honest, float(magnitude), 1000 + k, list(ms_game.questions))
         audit = ms_residuals(perturbed)
         eps = audit.value_deficit
         assert 0 <= eps <= 1e-4, f"deficit {eps} outside the quantified range"

@@ -65,7 +65,7 @@ def mixed_strategy(game, strategy, questions, weight):
 class TestMagicSquare:
     def test_counts(self):
         game, strategy = magic_square()
-        assert game.question_count() == 15
+        assert len(game.questions) == 15
         assert strategy.dim == 4
         pairs = list(game.nontrivial_pairs())
         # 15 diagonal plus 6 equations x 3 variables x 2 orientations
@@ -128,7 +128,7 @@ class TestSampledValue:
         game, honest = magic_square()
         assignment = {v: 0 for v in MS_QUESTIONS if v.startswith("s")}
         assignment.update({e: (0, 0, 0) for e in MS_EQUATIONS})
-        for strategy in (deterministic_strategy(game, assignment), perturb_strategy(honest, 0.3, 7)):
+        for strategy in (deterministic_strategy(game, assignment), perturb_strategy(honest, 0.3, 7, list(game.questions))):
             exact = value(game, strategy).value
             est, err = sampled_value(game, strategy, 100_000, seed=11)
             assert exact < 1.0 and abs(est - exact) <= 3 * err
@@ -183,7 +183,7 @@ class TestSampledValue:
     )
     def test_raises_exactly_when_value_raises(self, magnitude, seed, mixed, weight):
         game, honest = magic_square()
-        strategy = mixed_strategy(game, perturb_strategy(honest, magnitude, seed), mixed, weight)
+        strategy = mixed_strategy(game, perturb_strategy(honest, magnitude, seed, list(game.questions)), mixed, weight)
         outcomes = []
         for evaluate in (value, lambda g, s: sampled_value(g, s, 5000, seed)):
             try:
@@ -209,7 +209,7 @@ class TestSampledValue:
         loose = exact | (rng_for("msloose").random(exact.shape) < 0.3)
         assignment = {v: 0 for v in MS_QUESTIONS if v.startswith("s")}
         assignment.update({e: (0, 0, 0) for e in MS_EQUATIONS})
-        lossy = (perturb_strategy(honest, 0.3, 7), deterministic_strategy(game, assignment))
+        lossy = (perturb_strategy(honest, 0.3, 7, list(game.questions)), deterministic_strategy(game, assignment))
         for strategy in (honest, *lossy):
             for seed in (1, 2, 3):
                 ref = rebuilt_game(game)
@@ -280,7 +280,7 @@ class TestOracularizability:
 class TestTwoOfN:
     def test_question_count(self):
         game, _ = two_of_n_ms(2)
-        assert game.question_count() == 2 * 15**2
+        assert len(game.questions) == 2 * 15**2
 
     def test_honest_value(self):
         game, strategy = two_of_n_ms(2)
@@ -509,15 +509,15 @@ class TestTableGame:
         assert game.decide("y", "x", 1, 1)
 
     @pytest.mark.parametrize(
-        "listed, accept",
-        [([("x", "x")], {}),
-         ([("x", "y")], {("x", "y"): [(0, 0)], ("x", "x"): [(0, 1), (1, 0)]})],
+        "listed, accept, field",
+        [([("x", "x")], {}, "nontrivial_pairs"),
+         ([("x", "y")], {("x", "y"): [(0, 0)], ("x", "x"): [(0, 1), (1, 0)]}, "accept")],
         ids=["nontrivial_pairs", "accept"],
     )
-    def test_diagonal_entries_refused(self, listed, accept):
+    def test_diagonal_entries_refused(self, listed, accept, field):
         # the diagonal always accepts exactly a = b; a listed entry there
         # would otherwise be dropped without a word
-        with pytest.raises(ValueError, match=r"diagonal pair \('x', 'x'\)"):
+        with pytest.raises(ValueError, match=rf"table field '{field}' lists the diagonal pair \('x', 'x'\)"):
             table_game("diag", ["x", "y"], {"x": (0, 1), "y": (0, 1)}, listed, accept)
 
     XY = {"x": (0, 1), "y": (0, 1)}
@@ -525,12 +525,13 @@ class TestTableGame:
     @pytest.mark.parametrize(
         "answers, listed, accept, message",
         [
-            ({"x": (0, 1)}, [], {}, r"table question 'y' has no answer list"),
+            ({"x": (0, 1)}, [], {}, r"table field 'answers' has no list for question 'y'"),
             (XY, [("x", "z")], {("x", "z"): [(0, 0)]},
-             r"table pair \('x', 'z'\) names a question not in the table"),
+             r"table field 'nontrivial_pairs' pair \('x', 'z'\) names a question not in 'questions'"),
             (XY, [("x", "y")], {("x", "y"): [(0, 0)], ("z", "y"): [(0, 0)]},
-             r"table pair \('z', 'y'\) names a question not in the table"),
-            (XY, [("x", "y")], {}, r"nontrivial pair \('x', 'y'\) has no accept set"),
+             r"table field 'accept' pair \('z', 'y'\) names a question not in 'questions'"),
+            (XY, [("x", "y")], {},
+             r"table field 'accept' has no entry for nontrivial pair \('x', 'y'\)"),
         ],
         ids=["no_answer_list", "unknown_pair_question", "unknown_accept_question",
              "no_accept_set"],

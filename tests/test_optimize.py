@@ -295,32 +295,36 @@ class TestClassicalValue:
 
 class TestPerturbStrategy:
     def test_zero_magnitude_identity(self):
-        _, strategy = magic_square()
-        out = perturb_strategy(strategy, 0.0, seed=1)
-        for q in strategy.question_labels():
+        game, strategy = magic_square()
+        out = perturb_strategy(strategy, 0.0, 1, list(game.questions))
+        for q in game.questions:
             assert closeness(out.measurement(q), strategy.measurement(q)) == 0.0
 
     def test_small_perturbation_keeps_value_high(self):
         game, strategy = magic_square()
-        out = perturb_strategy(strategy, 1e-3, seed=2)
+        out = perturb_strategy(strategy, 1e-3, 2, list(game.questions))
         assert value(game, out).value >= 1 - 1e-4
 
     def test_deficit_monotone_in_magnitude(self):
         game, strategy = magic_square()
         deficits = []
         for magnitude in (1e-1, 1e-2, 1e-3, 1e-4):
-            out = perturb_strategy(strategy, magnitude, seed=3)
+            out = perturb_strategy(strategy, magnitude, 3, list(game.questions))
             deficits.append(1 - value(game, out).value)
         assert deficits == sorted(deficits, reverse=True)
 
     def test_projectivity_preserved(self):
-        _, strategy = magic_square()
-        out = perturb_strategy(strategy, 0.3, seed=4)
+        game, strategy = magic_square()
+        out = perturb_strategy(strategy, 0.3, 4, list(game.questions))
         out.validate()
-        for x in out.question_labels():  # projective within 1e-10, tighter than DEFAULT_TOL
-            out.measurement(x).validate(1e-10)
+        for x in game.questions:  # projective within 1e-10, tighter than DEFAULT_TOL
+            m = out.measurement(x)
+            assert np.abs(m.sum() - np.eye(m.dim)).max() <= 1e-10
+            for e in m.elements:
+                assert np.abs(e - e.conj().T).max() <= 1e-10
+                assert np.abs(e @ e - e).max() <= 1e-10
 
     def test_negative_magnitude_rejected(self):
-        _, strategy = magic_square()
+        game, strategy = magic_square()
         with pytest.raises(ValueError):
-            perturb_strategy(strategy, -1.0, seed=0)
+            perturb_strategy(strategy, -1.0, 0, list(game.questions))

@@ -35,8 +35,8 @@ class TestMagicSquareResiduals:
     def test_equal_observables_anticommutator(self):
         # replacing both s11 and s22 with the Z (x) 1 basis makes the
         # anticommutator residual ||2 * identity||_tau = 2
-        _, strategy = magic_square()
-        table = {x: strategy.measurement(x) for x in strategy.question_labels()}
+        game, strategy = magic_square()
+        table = {x: strategy.measurement(x) for x in game.questions}
         eye = np.eye(4, dtype=complex)
         zbasis = Measurement(
             (0, 1), [(eye + np.kron(Z, np.eye(2))) / 2, (eye - np.kron(Z, np.eye(2))) / 2],
@@ -49,8 +49,8 @@ class TestMagicSquareResiduals:
         assert report.relations["R3.anticomm.11_22"] == pytest.approx(2.0, abs=1e-12)
 
     def test_wrong_dimension_refused_when_built(self):
-        _, strategy = magic_square()
-        table = {x: strategy.measurement(x) for x in strategy.question_labels()}
+        game, strategy = magic_square()
+        table = {x: strategy.measurement(x) for x in game.questions}
         table["s22"] = Measurement(
             (0, 1), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], kind="projective"
         )
@@ -61,7 +61,7 @@ class TestMagicSquareResiduals:
     def test_perturbed_within_explicit_bound(self):
         game, strategy = magic_square()
         for k, magnitude in enumerate((3e-4, 1e-3, 3e-3)):
-            perturbed = perturb_strategy(strategy, magnitude, seed=100 + k)
+            perturbed = perturb_strategy(strategy, magnitude, 100 + k, list(game.questions))
             report = ms_residuals(perturbed)
             eps = report.value_deficit
             assert eps <= 1e-4
@@ -69,8 +69,8 @@ class TestMagicSquareResiduals:
             assert report.max_residual > 0
 
     def test_residuals_invariant_under_conjugation(self):
-        _, strategy = magic_square()
-        perturbed = perturb_strategy(strategy, 1e-2, seed=9)
+        game, strategy = magic_square()
+        perturbed = perturb_strategy(strategy, 1e-2, 9, list(game.questions))
         base = ms_residuals(perturbed)
         u = haar_unitary(4, rng_for("rigconj", 0))
         rotated = perturbed.conjugated(u)

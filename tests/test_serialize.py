@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from syncgames.builtins import (
+    MS_EQUATIONS,
+    MS_VARIABLES,
     consistency_game,
     forbidden_pair_game,
     magic_square,
@@ -51,8 +53,8 @@ class TestPrimitives:
 
     def test_byte_identical_dumps(self):
         game, strategy = magic_square()
-        doc1 = dumps(strategy_to_doc(strategy))
-        doc2 = dumps(strategy_to_doc(strategy))
+        doc1 = dumps(strategy_to_doc(strategy, list(game.questions)))
+        doc2 = dumps(strategy_to_doc(strategy, list(game.questions)))
         assert doc1 == doc2
 
 
@@ -143,7 +145,7 @@ class TestBulkRendering:
 class TestStrategyDocs:
     def test_round_trip_preserves_value(self):
         game, strategy = magic_square()
-        doc = json.loads(dumps(strategy_to_doc(strategy)))
+        doc = json.loads(dumps(strategy_to_doc(strategy, list(game.questions))))
         again = strategy_from_doc(doc, game)
         assert value(game, again).value == pytest.approx(1.0, abs=1e-10)
 
@@ -165,7 +167,7 @@ class TestGameDocs:
         ):
             game, honest = game_from_doc(doc)
             assert honest is not None
-            assert game.question_count() > 0
+            assert len(game.questions) > 0
 
     def test_table_doc(self):
         doc = {
@@ -190,7 +192,7 @@ class TestGameDocs:
             "base": {"builtin": {"kind": "consistency", "l": 2}},
         }
         game, _ = game_from_doc(doc)
-        assert game.question_count() == 461
+        assert len(game.questions) == 461
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -211,15 +213,16 @@ class TestReports:
         assert set(doc) == {"relations", "max_residual", "value_deficit"}
 
 
-def perturbed(game, strategy, lazy=True):
-    """Perturbation at magnitude 0.05 and seed 7, in the game's question
-    order for lazily built strategies and in the table's order otherwise."""
-    return perturb_strategy(strategy, 0.05, 7, list(game.questions) if lazy else None)
+def perturbed(game, strategy):
+    """Perturbation at magnitude 0.05 and seed 7, in the game's question order."""
+    return perturb_strategy(strategy, 0.05, 7, list(game.questions))
 
 
 def _pinned_magic_square():
+    """Perturbed in cells-then-equations order, the order honest
+    magic_square() builds its measurements in, not the game's."""
     game, honest = magic_square()
-    return game, perturbed(game, honest, lazy=False)
+    return game, perturb_strategy(honest, 0.05, 7, MS_VARIABLES + tuple(MS_EQUATIONS))
 
 
 def _pinned_perturbed(make):

@@ -143,12 +143,12 @@ def single_question_game():
 class TestOracularize:
     def test_single_question_count(self):
         game = oracularize(single_question_game())
-        assert game.question_count() == 2  # q and (q, q)
+        assert len(game.questions) == 2  # q and (q, q)
 
     def test_magic_square_count(self):
         base, _ = magic_square()
         game = oracularize(base)
-        assert game.question_count() == 15 + 225
+        assert len(game.questions) == 15 + 225
 
     def test_honest_lift_value_one(self):
         base, strategy = magic_square()
@@ -160,7 +160,7 @@ class TestOracularize:
     def test_lift_rejects_non_oracularizable(self):
         base, strategy = magic_square()
         with pytest.raises(ValueError, match="not oracularizable"):
-            lift_oracularize(base, perturb_strategy(strategy, 0.1, 5))
+            lift_oracularize(base, perturb_strategy(strategy, 0.1, 5, list(base.questions)))
 
     def test_output_synchronous(self):
         base, _ = magic_square()
@@ -173,7 +173,7 @@ class TestIntrospect:
         base, _ = trivial_game(2)
         game = introspect(base)
         # |QS_2| + 7 special questions
-        assert game.question_count() == (2 * 15 * 15 + 4) + 7
+        assert len(game.questions) == (2 * 15 * 15 + 4) + 7
 
     def test_special_adjacency_matches_figure(self):
         base, _ = trivial_game(2)
@@ -283,7 +283,7 @@ class TestLiftIntrospection:
         for pair in lossy:
             assert report.per_pair[pair] == pytest.approx(base_value, abs=1e-10)
         # derived identity: only the four transcript rows lose mass
-        n = game.question_count()
+        n = len(game.questions)
         expected = 1 - 4 * (1 - base_value) / n**2
         assert report.value == pytest.approx(expected, abs=1e-12)
 
@@ -744,8 +744,22 @@ class TestLiftAnswerReduce:
         assert hashlib.sha256(wins.tobytes()).hexdigest() == PINNED_WINS[(name, kind)]
 
     def test_rejects_non_oracularizable(self):
+        game, strategy = clash_game()
         with pytest.raises(ValueError, match="not oracularizable"):
-            lift_answer_reduce(*clash_game(), 4)
+            lift_answer_reduce(game, strategy, 4, reduced=answer_reduce(game, 4))
+
+    def test_rejects_reduced_game_of_another_base(self):
+        # each lifted without a word: the proofs of one base read as
+        # another's, or a budget the questions were not built at
+        game, strategy = consistency_game(2)
+        other = answer_reduce(forbidden_pair_game(2)[0], 4)
+        with pytest.raises(ValueError, match="^reduced was not built from this game$"):
+            lift_answer_reduce(game, strategy, 4, reduced=other)
+
+    def test_rejects_reduced_game_of_another_budget(self):
+        game, strategy = consistency_game(2)
+        with pytest.raises(ValueError, match="^reduced was built at T=3, not T=8$"):
+            lift_answer_reduce(game, strategy, 8, reduced=answer_reduce(game, 3))
 
     def test_trivial_base_perfect(self):
         game, strategy = trivial_game(2)
@@ -857,8 +871,15 @@ class TestGaplessCompress:
         assert_synchronous(compressed, 40)
 
     def test_rejects_non_oracularizable(self):
+        game, strategy = clash_game()
         with pytest.raises(ValueError, match="not oracularizable"):
-            lift_gapless_compress(*clash_game(), 8)
+            lift_gapless_compress(game, strategy, 8, compressed=gapless_compress(game, 8))
+
+    def test_rejects_compressed_game_of_another_budget(self):
+        game, strategy = consistency_game(2)
+        compressed = gapless_compress(forbidden_pair_game(2)[0], 8)
+        with pytest.raises(ValueError, match="^compressed was built at T=8, not T=4$"):
+            lift_gapless_compress(game, strategy, 4, compressed=compressed)
 
     def test_value_one_base_compresses_to_one(self):
         game, strategy = consistency_game(2)
