@@ -608,8 +608,9 @@ def table_game(
 
     accept maps each listed ordered pair (x, y) to the accepted answer
     pairs (a, b); unlisted pairs are trivial.  Diagonal pairs are refused
-    (the game accepts exactly a = b there), as are questions listed twice
-    or without answers, pairs naming other questions and listed pairs
+    (the game accepts exactly a = b there), as are questions listed twice,
+    answer lists that are empty or list an answer twice, pairs naming other
+    questions, accepted answers a question does not list and listed pairs
     without accept sets; each refusal names the argument (the table
     document's field) at fault.
     """
@@ -620,6 +621,8 @@ def table_game(
             raise ValueError(f"table field 'questions' lists question {x!r} twice")
         if x not in answers:
             raise ValueError(f"table field 'answers' has no list for question {x!r} of 'questions'")
+        if not answers[x] or len(set(answers[x])) != len(answers[x]):
+            raise ValueError(f"table field 'answers' needs distinct answers for {x!r}, got {answers[x]!r}")
         seen.add(x)
     answers = {x: tuple(answers[x]) for x in questions}
     nontrivial_pairs = list(nontrivial_pairs)
@@ -635,6 +638,9 @@ def table_game(
                 )
     accept_sets = {}
     for (x, y), pairs in accept.items():
+        for a, b in pairs:
+            if a not in answers[x] or b not in answers[y]:
+                raise ValueError(f"table field 'accept' pair {(x, y)!r} accepts {(a, b)!r}, not in 'answers'")
         accept_sets[(x, y)] = frozenset(pairs)
         accept_sets.setdefault((y, x), frozenset((b, a) for a, b in pairs))
     for pair in nontrivial_pairs:

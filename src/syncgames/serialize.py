@@ -4,7 +4,9 @@ All floats are rendered with 17 significant digits so dump/load round
 trips are lossless and repeated invocations are byte-identical.  Matrix
 documents carry real and imaginary parts separately; labels serialize as
 compact JSON with tuples as arrays, and dictionary-like keys use that
-compact form as the key string.
+compact form as the key string.  Tensor-copy strategies repeat a few rows
+many times, so one `dumps` call renders each distinct matrix row (keyed by
+its float64 bytes, which keeps -0.0 apart from 0.0) once and reuses the text.
 """
 
 from __future__ import annotations
@@ -101,11 +103,16 @@ def _only_fields(doc: dict, kind: str, names) -> None:
 
 def _labels(kind: str, name: str, value, length=None) -> tuple:
     """An array in field `name` (JSON, or a tuple `_uncanon` read from one), of
-    `length` entries if given, as a tuple of labels."""
+    `length` entries if given, as a tuple of labels; an object is no label."""
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
         size = f" of {length}" if length else ""
         raise ValueError(f"{kind} field {name!r} holds {value!r:.60}, not an array{size}")
-    return tuple(map(_uncanon, value))
+    labels = tuple(map(_uncanon, value))
+    try:
+        hash(labels)
+    except TypeError:
+        raise ValueError(f"{kind} field {name!r} holds an object in {value!r:.60}") from None
+    return labels
 
 
 _NON_FINITE = "cannot serialize non-finite numbers"
@@ -117,15 +124,23 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render_matrix(a: np.ndarray) -> str:
-    """A 2-D float array as nested JSON lists, through one %-template."""
+def _render_matrix(a: np.ndarray, memo: dict) -> str:
+    """A 2-D float array as nested JSON lists; a row whose float64 bytes
+    are not yet in memo goes through the %-template, the rest reuse its text."""
     if a.ndim != 2 or a.dtype.kind != "f":
         raise ValueError(f"cannot serialize a {a.ndim}-D {a.dtype} array")
     if not np.isfinite(a).all():
         raise ValueError(_NON_FINITE)
-    rows, cols = a.shape
-    row = "[" + ", ".join(["%.17g"] * cols) + "]"
-    return ("[" + ", ".join([row] * rows) + "]") % tuple(a.ravel().tolist())
+    a = np.asarray(a, dtype=np.float64)
+    template = "[" + ", ".join(["%.17g"] * a.shape[1]) + "]"
+    rows = []
+    for row in a:
+        key = row.tobytes()
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = template % tuple(row.tolist())
+        rows.append(text)
+    return "[" + ", ".join(rows) + "]"
 
 
 def dumps(doc) -> str:
@@ -134,10 +149,11 @@ def dumps(doc) -> str:
     2-D float arrays (as held by matrix documents) render as nested lists,
     with the same bytes as lists of their entries.
     """
+    memo = {}
 
     def render(node) -> str:
         if isinstance(node, np.ndarray):
-            return _render_matrix(node)
+            return _render_matrix(node, memo)
         if isinstance(node, dict):
             items = [f"{json.dumps(str(k))}: {render(v)}" for k, v in node.items()]
             return "{" + ", ".join(items) + "}"
@@ -252,7 +268,7 @@ def game_from_doc(doc: dict):
         spec = doc["table"]
         try:
             answers = {
-                _uncanon(json.loads(k)): _labels("table", "answers", v)
+                _labels("table", "answers", [json.loads(k)])[0]: _labels("table", "answers", v)
                 for k, v in _field(spec, "table", "answers", dict).items()
             }
             accept = {
@@ -265,7 +281,7 @@ def game_from_doc(doc: dict):
         pairs = _field(spec, "table", "nontrivial_pairs", list)
         return table_game(
             _field(spec, "table", "name", str, default="table"),
-            [_uncanon(q) for q in _field(spec, "table", "questions", list)],
+            _labels("table", "questions", _field(spec, "table", "questions", list)),
             answers,
             [_labels("table", "nontrivial_pairs", pair, 2) for pair in pairs],
             accept,
@@ -307,8 +323,8 @@ def assignment_to_doc(assignment: Assignment) -> dict:
 
 def cnf_to_dimacs(cnf: CNF) -> str:
     lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for clause in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    templates = {n: " ".join(["%s"] * n) + " 0" for n in set(map(len, cnf.clauses))}
+    lines += [templates[len(clause)] % tuple(clause) for clause in cnf.clauses]
     return "\n".join(lines) + "\n"
 
 

@@ -168,6 +168,27 @@ def test_table_question_listed_twice(files):
     assert lines == ["error: table field 'questions' lists question 'y' twice"]
 
 
+@pytest.mark.parametrize(
+    "field, table, line",
+    [
+        ("answers", {"answers": {'"x"': [], '"y"': [0, 1]}},
+         "error: table field 'answers' needs distinct answers for 'x', got ()"),
+        ("answers", {"answers": {'"x"': [0, 1], '"y"': [0, 0]}},
+         "error: table field 'answers' needs distinct answers for 'y', got (0, 0)"),
+        ("answers", {"answers": {'"x"': [0, {"a": 1}], '"y"': [0, 1]}},
+         "error: table field 'answers' holds an object in [0, {'a': 1}]"),
+        ("accept", {"accept": {'["x","y"]': [[0, 2]]}},
+         "error: table field 'accept' pair ('x', 'y') accepts (0, 2), not in 'answers'"),
+    ],
+    ids=["empty_answers", "repeated_answer", "object_answer", "unlisted_accepted_answer"],
+)
+def test_table_answer_refusals(files, field, table, line):
+    # the empty and object lists failed naming no field; the repeated answer
+    # and the unlisted accepted answer loaded as a different game
+    doc = {"table": {**TABLE, **table}}
+    assert check_mutant(files, "table", doc, ("table", field), "resize") == [line]
+
+
 def test_matrix_bool_among_numbers_refused():
     # numpy promoted the row to floats and read this as [[1, 0.5], [0, 1]]
     with pytest.raises(ValueError) as refused:

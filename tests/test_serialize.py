@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncgames.builtins import (
     MS_EQUATIONS,
@@ -16,7 +18,7 @@ from syncgames.builtins import (
     two_of_n_ms,
 )
 from syncgames.cli import run
-from syncgames.cooklevin import compile_cnf, equality_machine
+from syncgames.cooklevin import CNF, compile_cnf, equality_machine
 from syncgames.games import value
 from syncgames.serialize import (
     cnf_to_dimacs,
@@ -88,6 +90,52 @@ def reference_dumps(doc) -> str:
 SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.0, -3.0, 2.0**52, 1 / 3)
 
 
+# finite in float32 too, with float64 and float32 subnormals
+ENTRIES = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS[:5] + SPECIAL_FLOATS[7:]),
+    st.floats(-3e38, 3e38),
+    st.floats(-(2.0**-126), 2.0**-126, width=32),
+    st.floats(-3e-308, 3e-308),
+)
+
+
+@st.composite
+def repeated_row_docs(draw):
+    """A document of several matrices of a few widths (zero included), with
+    rows drawn from a small pool per width, so they repeat within and across
+    matrices, and each pool holding a row with -0.0 and its twin with 0.0."""
+    widths = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    pools = {}
+    for w in widths:
+        rows = draw(st.lists(st.lists(ENTRIES, min_size=w, max_size=w), min_size=1, max_size=3))
+        pools[w] = rows + ([[-0.0, *rows[0][1:]], [0.0, *rows[0][1:]]] if w else [])
+    matrices = []
+    for _ in range(draw(st.integers(1, 5))):
+        w = draw(st.sampled_from(widths))
+        rows = draw(st.lists(st.sampled_from(pools[w]), max_size=6))
+        dtype = draw(st.sampled_from([np.float64, np.float32]))
+        matrices.append(np.array(rows, dtype=dtype).reshape(len(rows), w))
+    return {"dim": len(matrices), "elements": matrices, "again": matrices[:1]}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(doc=repeated_row_docs())
+def test_repeated_rows_match_reference_renderer(doc):
+    assert dumps(doc) == reference_dumps(doc)
+    last = doc["elements"][-1]
+    if last.size:
+        # every row of the poisoned matrix may have been rendered before
+        poisoned = last.copy()
+        poisoned[-1, -1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({**doc, "elements": doc["elements"][:-1] + [poisoned]})
+
+
+def test_empty_matrices_render_as_before():
+    doc = {"cols": np.zeros((2, 0)), "rows": np.zeros((0, 3)), "f32": np.zeros((1, 0), np.float32)}
+    assert dumps(doc) == '{"cols": [[], []], "rows": [], "f32": [[]]}\n' == reference_dumps(doc)
+
+
 class TestBulkRendering:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_renderer(self, seed):
@@ -120,6 +168,12 @@ class TestBulkRendering:
         m[1, 2] = complex(0.0, bad)
         with pytest.raises(ValueError, match="non-finite"):
             dumps(matrix_to_doc(m))
+
+    def test_float32_rows_keyed_as_float64(self):
+        # the bytes of the float32 row are those of a finite float64 row of width 2
+        f32 = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
+        doc = {"f64": f32.view(np.float64), "f32": f32}
+        assert dumps(doc) == reference_dumps(doc)
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -293,6 +347,24 @@ class TestDimacsAndMachines:
         lines = text.strip().split("\n")
         assert lines[0] == f"p cnf {cnf.num_vars} {len(cnf.clauses)}"
         assert all(line.endswith(" 0") for line in lines[1:])
+
+    @staticmethod
+    def literal_dimacs(cnf) -> str:
+        """The one-literal-at-a-time writer `cnf_to_dimacs` must match byte for byte."""
+        lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
+        for clause in cnf.clauses:
+            lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        return "\n".join(lines) + "\n"
+
+    def test_dimacs_matches_literal_writer(self):
+        cnf = CNF(5, [(1, -2, 3)])
+        # CNF checks width 3 when built; the writer takes any clause length
+        cnf.clauses.extend([(), (-4,), (np.int64(5), np.int32(-1)), (-5, 4, np.int16(-3)), ()])
+        text = cnf_to_dimacs(cnf)
+        assert text == self.literal_dimacs(cnf)
+        assert text == "p cnf 5 6\n1 -2 3 0\n 0\n-4 0\n5 -1 0\n-5 4 -3 0\n 0\n"
+        compiled = compile_cnf(equality_machine(), 3, 2)
+        assert cnf_to_dimacs(compiled) == self.literal_dimacs(compiled)
 
     def test_machine_doc_round_trip(self):
         m = equality_machine()
