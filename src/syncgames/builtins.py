@@ -4,7 +4,10 @@ Each constructor returns (Game, honest SynchronousStrategy).  The Magic
 Square honest strategy lives on C^4 and is built from the standard Pauli
 observable grid; the 2-of-n honest strategy places independent Magic
 Square measurements on tensor copies; the Question Sampling strategy adds
-block sampling/erasure measurements over the same copies.
+block sampling/erasure measurements over the same copies.  A 2-of-n pair's
+accept mask is built once per key (each shared slot's answer positions
+and Magic Square pair, and the four answer-set sizes) and shared
+read-only by every n; the table holds at most 6,018 masks.
 """
 
 from __future__ import annotations
@@ -88,10 +91,6 @@ _MS_MASKS = _ms_masks()
 _MS_NONTRIVIAL_PAIRS = list(_MS_MASKS)
 
 
-def _ms_rule(x, y):
-    return _MS_MASKS.get((x, y))
-
-
 def _ms_observables() -> dict:
     """Pauli observable grid: rows/columns multiply to +1 except column 3."""
     kron = np.kron
@@ -136,13 +135,17 @@ def magic_square() -> tuple[Game, SynchronousStrategy]:
     the decider rejects the unsatisfying ones.  The honest dim-4 strategy
     realizes the Pauli observable grid.
     """
-    game = Game("magic_square", list(MS_QUESTIONS), lambda x: _MS_ANSWERS[x], _ms_rule)
+    game = Game(
+        "magic_square", list(MS_QUESTIONS), lambda x: _MS_ANSWERS[x], lambda x, y: _MS_MASKS.get((x, y))
+    )
     strategy = SynchronousStrategy(4, _ms_honest_measurements())
     return game, strategy
 
 
-def _shared_instances(q, r) -> list:
-    return sorted({q[0], q[1]} & {r[0], r[1]})
+# answer positions (qpos, rpos) a shared copy can take in a 2-of-n pair
+_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# _two_of_n_rule's masks by key; at most 6,018 entries for any n
+_TWO_OF_N_MASKS: dict = {}
 
 
 def _two_of_n_rule(q, r):
@@ -152,31 +155,30 @@ def _two_of_n_rule(q, r):
     shared instance carries a nontrivial Magic Square pair; the mask is
     the product of those pairs' masks over the answer components.  Both
     players may hold the same Magic Square question on a shared instance,
-    so the factors include Magic Square diagonals.
+    so the factors include Magic Square diagonals.  The mask depends only
+    on each shared slot's (qpos, rpos, x, y) and the four answer-set
+    sizes, not on the copies or the free questions, so it is built once
+    per key and shared read-only: one shared copy gives 4 slot layouts x
+    51 Magic Square pairs x 4 free sizes, two give 2 layouts x 51**2.
     """
-    factors = []
-    for w in _shared_instances(q, r):
-        qpos = 0 if q[0] == w else 1
-        rpos = 0 if r[0] == w else 1
-        factor = _ms_rule(q[2 + qpos], r[2 + rpos])
-        if factor is None:
-            return None
-        factors.append((qpos, rpos, factor))
-    if not factors:
+    slots = tuple((qpos, rpos, q[2 + qpos], r[2 + rpos]) for qpos, rpos in _SLOTS if q[qpos] == r[rpos])
+    if not slots:
         return None
-    sizes = (
-        len(_MS_ANSWERS[q[2]]),
-        len(_MS_ANSWERS[q[3]]),
-        len(_MS_ANSWERS[r[2]]),
-        len(_MS_ANSWERS[r[3]]),
-    )
-    mask = np.ones(sizes, dtype=bool)
-    for qpos, rpos, factor in factors:
-        shape = [1, 1, 1, 1]
-        shape[qpos] = factor.shape[0]
-        shape[2 + rpos] = factor.shape[1]
-        mask &= factor.reshape(shape)
-    return mask.reshape(sizes[0] * sizes[1], sizes[2] * sizes[3])
+    for _, _, x, y in slots:
+        if (x, y) not in _MS_MASKS:
+            return None
+    sizes = (len(_MS_ANSWERS[q[2]]), len(_MS_ANSWERS[q[3]]), len(_MS_ANSWERS[r[2]]), len(_MS_ANSWERS[r[3]]))
+    mask = _TWO_OF_N_MASKS.get((slots, sizes))
+    if mask is None:
+        mask = np.ones(sizes, dtype=bool)
+        for qpos, rpos, x, y in slots:
+            shape = [1, 1, 1, 1]
+            shape[qpos], shape[2 + rpos] = _MS_MASKS[(x, y)].shape
+            mask &= _MS_MASKS[(x, y)].reshape(shape)
+        mask = mask.reshape(sizes[0] * sizes[1], sizes[2] * sizes[3])
+        mask.flags.writeable = False
+        _TWO_OF_N_MASKS[(slots, sizes)] = mask
+    return mask
 
 
 def _two_of_n_questions(n: int) -> list:
@@ -206,28 +208,22 @@ def _two_of_n_pairs_iter(n: int):
         if k != l and ({i, j} & {k, l})
     ]
     for (i, j), (k, l) in instance_pairs:
-        shared = sorted({i, j} & {k, l})
-        slots = {}
-        for w in shared:
-            qpos = 2 if i == w else 3
-            rpos = 2 if k == w else 3
-            slots[(qpos, rpos)] = True
-        q_free = [p for p in (2, 3) if p not in {qp for qp, _ in slots}]
-        r_free = [p for p in (2, 3) if p not in {rp for _, rp in slots}]
-        shared_slots = sorted(slots)
+        shared_slots = [(qpos, rpos) for qpos, rpos in _SLOTS if (i, j)[qpos] == (k, l)[rpos]]
+        q_free = [p for p in (0, 1) if p not in {qp for qp, _ in shared_slots}]
+        r_free = [p for p in (0, 1) if p not in {rp for _, rp in shared_slots}]
         pools = [_MS_NONTRIVIAL_PAIRS] * len(shared_slots)
         pools += [MS_QUESTIONS] * (len(q_free) + len(r_free))
         for combo in itertools.product(*pools):
             qv = [None, None]
             rv = [None, None]
             for (qpos, rpos), (xq, xr) in zip(shared_slots, combo):
-                qv[qpos - 2] = xq
-                rv[rpos - 2] = xr
+                qv[qpos] = xq
+                rv[rpos] = xr
             rest = combo[len(shared_slots) :]
             for p, val in zip(q_free, rest[: len(q_free)]):
-                qv[p - 2] = val
+                qv[p] = val
             for p, val in zip(r_free, rest[len(q_free) :]):
-                rv[p - 2] = val
+                rv[p] = val
             yield (i, j, qv[0], qv[1]), (k, l, rv[0], rv[1])
 
 

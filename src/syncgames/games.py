@@ -609,10 +609,10 @@ def table_game(
     accept maps each listed ordered pair (x, y) to the accepted answer
     pairs (a, b); unlisted pairs are trivial.  Diagonal pairs are refused
     (the game accepts exactly a = b there), as are questions listed twice,
-    answer lists that are empty or list an answer twice, pairs naming other
-    questions, accepted answers a question does not list and listed pairs
-    without accept sets; each refusal names the argument (the table
-    document's field) at fault.
+    answer lists that are empty, list an answer twice or belong to no listed
+    question, pairs naming other questions, accepted answers a question does
+    not list and listed pairs without accept sets; each refusal names the
+    argument (the table document's field) at fault.
     """
     questions = list(questions)
     seen = set()
@@ -624,6 +624,9 @@ def table_game(
         if not answers[x] or len(set(answers[x])) != len(answers[x]):
             raise ValueError(f"table field 'answers' needs distinct answers for {x!r}, got {answers[x]!r}")
         seen.add(x)
+    for x in answers:
+        if x not in seen:
+            raise ValueError(f"table field 'answers' has a list for question {x!r}, not in 'questions'")
     answers = {x: tuple(answers[x]) for x in questions}
     nontrivial_pairs = list(nontrivial_pairs)
     for field, entries in (("nontrivial_pairs", nontrivial_pairs), ("accept", accept)):

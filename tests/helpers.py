@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 
 from syncgames.algebra import Measurement
+from syncgames.builtins import _MS_ANSWERS, _MS_MASKS
 from syncgames.cooklevin import CNF, Assignment
 from syncgames.games import Game
 from syncgames.optimize import haar_unitary
@@ -161,6 +162,27 @@ def assert_synchronous(game, count: int | None = None) -> None:
         assert mask.dtype == bool and not mask.flags.writeable, x
         assert np.array_equal(mask, np.eye(len(game.answers(x)), dtype=bool)), x
         assert game.rule(x, x) is mask
+
+
+def two_of_n_reference_mask(q, r):
+    """Accept mask of the 2-of-n pair (q, r), or None when trivial, read
+    entry by entry from the Magic Square masks of the copies both players
+    share: answer (a0, a1) to q = (i, j, x0, x1) is row a0 * |A(x1)| + a1."""
+    factors = []
+    for w in set(q[:2]) & set(r[:2]):
+        qpos, rpos = q[:2].index(w), r[:2].index(w)
+        factor = _MS_MASKS.get((q[2 + qpos], r[2 + rpos]))
+        if factor is None:
+            return None
+        factors.append((qpos, rpos, factor))
+    if not factors:
+        return None
+    rows = np.indices([len(_MS_ANSWERS[x]) for x in q[2:]]).reshape(2, -1)
+    cols = np.indices([len(_MS_ANSWERS[y]) for y in r[2:]]).reshape(2, -1)
+    mask = np.ones((rows.shape[1], cols.shape[1]), dtype=bool)
+    for qpos, rpos, factor in factors:
+        mask &= factor[rows[qpos][:, None], cols[rpos][None, :]]
+    return mask
 
 
 def recording(game, calls: list):

@@ -177,14 +177,18 @@ def test_table_question_listed_twice(files):
          "error: table field 'answers' needs distinct answers for 'y', got (0, 0)"),
         ("answers", {"answers": {'"x"': [0, {"a": 1}], '"y"': [0, 1]}},
          "error: table field 'answers' holds an object in [0, {'a': 1}]"),
+        ("answers", {"answers": {'"x"': [0, 1], '"y"': [0, 1], '"z"': [0]}},
+         "error: table field 'answers' has a list for question 'z', not in 'questions'"),
         ("accept", {"accept": {'["x","y"]': [[0, 2]]}},
          "error: table field 'accept' pair ('x', 'y') accepts (0, 2), not in 'answers'"),
     ],
-    ids=["empty_answers", "repeated_answer", "object_answer", "unlisted_accepted_answer"],
+    ids=["empty_answers", "repeated_answer", "object_answer", "unlisted_question",
+         "unlisted_accepted_answer"],
 )
 def test_table_answer_refusals(files, field, table, line):
-    # the empty and object lists failed naming no field; the repeated answer
-    # and the unlisted accepted answer loaded as a different game
+    # the empty and object lists failed naming no field; the repeated answer,
+    # the list for an unlisted question and the unlisted accepted answer
+    # loaded as a different game or with the entry ignored
     doc = {"table": {**TABLE, **table}}
     assert check_mutant(files, "table", doc, ("table", field), "resize") == [line]
 

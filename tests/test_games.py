@@ -32,7 +32,8 @@ from syncgames.games import (
 from syncgames.optimize import haar_unitary, perturb_strategy
 from syncgames.transform import INTRO_SPECIALS, introspect, lift_introspection
 
-from helpers import assert_synchronous, rebuilt_game, recording, rng_for
+import syncgames.builtins as builtins
+from helpers import assert_synchronous, rebuilt_game, recording, rng_for, two_of_n_reference_mask
 
 
 def deterministic_strategy(game, assignment):
@@ -335,6 +336,70 @@ class TestTwoOfN:
                 assert game.nontrivial(x, y) == game.nontrivial(y, x), game.name
                 mask = game.accept_mask(x, y)
                 assert np.array_equal(game.accept_mask(y, x), mask.T), game.name
+
+
+class TestTwoOfNMasks:
+    """The 2-of-n product masks are built once per key (shared slots'
+    Magic Square pairs and answer-set sizes) and shared read-only."""
+
+    @staticmethod
+    def check_against_reference(rule, pairs):
+        for q, r in pairs:
+            mask, expected = rule(q, r), two_of_n_reference_mask(q, r)
+            if expected is None:
+                assert mask is None, (q, r)
+            else:
+                assert mask.dtype == bool and np.array_equal(mask, expected), (q, r)
+
+    @staticmethod
+    def check_table():
+        assert all(not mask.flags.writeable for mask in builtins._TWO_OF_N_MASKS.values())
+        assert len(builtins._TWO_OF_N_MASKS) <= 16 * 51 + 2 * 51**2
+
+    def test_every_nontrivial_pair_matches_the_reference(self):
+        intro = introspect(consistency_game(2)[0])
+        for game in (two_of_n_ms(2)[0], question_sampling(2)[0], intro):
+            pairs = [
+                (q, r) for q, r in game.nontrivial_pairs()
+                if q != r and len(q) == 4 and len(r) == 4
+            ]
+            assert pairs, game.name
+            self.check_against_reference(game.rule, pairs)
+        self.check_table()
+
+    def test_random_pairs_of_two_of_three(self):
+        game, _ = two_of_n_ms(3)
+        qs = game.questions
+        picks = rng_for("two_of_n_masks", 3).integers(0, len(qs), size=(100_000, 2))
+        self.check_against_reference(game.rule, ((qs[i], qs[j]) for i, j in picks))
+        self.check_table()
+
+    def test_table_bounded_and_trivial_pairs_store_nothing(self):
+        # three copies reach every slot layout, so no larger n adds a key
+        game, _ = two_of_n_ms(3)
+        for q, r in game.nontrivial_pairs():
+            game.rule(q, r)
+        self.check_table()
+        before = len(builtins._TWO_OF_N_MASKS)
+        for q, r in [
+            ((1, 2, "r1", "s11"), (3, 1, "c1", "s22")),  # no nontrivial shared pair
+            ((1, 2, "r1", "s11"), (3, 2, "s12", "r2")),  # s11 and r2 share no variable
+            ((1, 2, "s11", "s12"), (1, 3, "s21", "c3")),  # two distinct variables
+            ((1, 2, "r1", "s11"), (2, 1, "c2", "r1")),  # one of two shared pairs trivial
+        ]:
+            assert game.rule(q, r) is None and game.rule(r, q) is None
+        assert len(builtins._TWO_OF_N_MASKS) == before
+
+    def test_one_mask_serves_a_key_on_any_copies(self):
+        (g2, _), (g3, _) = two_of_n_ms(2), two_of_n_ms(3)
+        mask = g2.rule((1, 2, "r1", "s11"), (1, 2, "s11", "c1"))
+        assert g3.rule((2, 3, "r1", "s11"), (2, 3, "s11", "c1")) is mask
+        assert g3.rule((3, 1, "r1", "s11"), (3, 1, "s11", "c1")) is mask
+        # the free copies' questions count only through their answer-set sizes
+        mask = g3.rule((1, 2, "r1", "s12"), (1, 3, "s11", "s13"))
+        assert g3.rule((1, 3, "r1", "s22"), (1, 2, "s11", "s33")) is mask
+        assert g3.rule((1, 2, "r1", "c1"), (1, 3, "s11", "s13")).shape == (64, 4) != mask.shape
+        assert not mask.flags.writeable
 
 
 class TestQuestionSampling:
