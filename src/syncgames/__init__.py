@@ -52,7 +52,6 @@ from .games import (
     is_oracularizable,
     sampled_value,
     table_game,
-    tensor_extend,
     value,
 )
 from .ncpo import game_to_ncpo, parse_ncpo

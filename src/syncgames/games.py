@@ -16,16 +16,18 @@ common dimension; correlations are tr(M^x_a M^y_b)/dim.  A strategy may
 also describe a question's measurement as a Kronecker product of small
 projective parts, one per tensor factor (see SynchronousStrategy).
 
-Exact and sampled evaluation read correlations from one place,
-StrategyEvaluator.cross_gram, which works in a per-question eigenbasis so
-each pair costs one d x d unitary product.  Building that eigenbasis
-checks that the measurement is projective within DEFAULT_TOL and carries the
-game's answer labels.  The eigenbasis of a factored measurement is the
-Kronecker product of its parts' eigenbases, each diagonalized once per
-evaluator, so such a question is never densified.  Exact evaluation walks
-only the nontrivial question pairs (trivial pairs contribute winning mass
-analytically); sampled evaluation draws answer pairs from the same
-cross-grams.
+Exact and sampled evaluation read correlations from one formula, _gram,
+which works in a per-question eigenbasis so each pair costs one d x d
+unitary product.  Building that eigenbasis checks that the measurement is
+projective within DEFAULT_TOL and carries the game's answer labels.  The
+eigenbasis of a factored measurement is the Kronecker product of its
+parts' eigenbases, each diagonalized once per evaluator, so such a
+question is never densified.  Exact evaluation walks only the nontrivial
+question pairs (trivial pairs contribute winning mass analytically) and,
+below d=64, stacks them by answer shape: StrategyEvaluator.win_probabilities
+runs the pairs whose questions share their answer-group sizes through
+_gram as stacked products, with the bits of one pair at a time.  Sampled
+evaluation draws answer pairs from the one-pair cross_gram.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "value",
     "sampled_value",
     "is_oracularizable",
-    "tensor_extend",
     "table_game",
     "index_answer_bits",
 ]
@@ -370,6 +371,23 @@ def _group_matrix(counts: np.ndarray, dim: int) -> np.ndarray:
     return s
 
 
+def _gram(uh_x, u_y, g_x, g_yt, dim: int) -> np.ndarray:
+    """tr(M^x_a M^y_b)/dim from the bases u_x^H and u_y and the group
+    matrices g_x and g_y^T, for one pair or for stacks of pairs."""
+    w = uh_x @ u_y
+    e = w.real**2 + w.imag**2
+    return (g_x @ e @ g_yt) / dim
+
+
+# queued pairs are scored as one stack once they hold this many bytes of
+# d x d complex unitaries: 16 pairs at d=16, 4 at d=32.  From d=64 on a
+# pair's products outweigh its call overhead and gathering them only
+# costs: on a 2-vCPU x86 VM with one BLAS thread, stacks of 2 and 4
+# pairs ran 10-25% and 2.5x slower there than one pair at a time, the
+# larger ones from page faults on their fresh temporaries.
+_STACK_BYTES = 1 << 16
+
+
 class StrategyEvaluator:
     """Cached eigenbasis forms plus pairwise winning probabilities.
 
@@ -383,6 +401,7 @@ class StrategyEvaluator:
         self.strategy = strategy
         self._forms: dict = {}
         self._groups: dict = {}
+        self._shared_groups: dict = {}  # counts.tobytes() -> group matrix
         self._parts: dict = {}  # id(part) -> (part, its form, {label: group})
 
     def form(self, x) -> _EigenForm:
@@ -413,24 +432,63 @@ class StrategyEvaluator:
             return form, groups
 
     def _group(self, x) -> np.ndarray:
+        """0/1 matrix summing x's basis columns by answer, one object per
+        list of group sizes, so that pairs can be stacked by it."""
         try:
             return self._groups[x]
         except KeyError:
-            g = _group_matrix(self.form(x).counts, self.strategy.dim)
-            self._groups[x] = g
+            counts = self.form(x).counts
+            key = counts.tobytes()
+            if key not in self._shared_groups:
+                self._shared_groups[key] = _group_matrix(counts, self.strategy.dim)
+            g = self._groups[x] = self._shared_groups[key]
             return g
 
     def cross_gram(self, x, y) -> np.ndarray:
         """Matrix of tr(M^x_a M^y_b)/dim over answer pairs."""
         fx, fy = self.form(x), self.form(y)
-        w = fx.uh @ fy.u
-        e = (w.real**2 + w.imag**2)
-        return (self._group(x) @ e @ self._group(y).T) / self.strategy.dim
+        return _gram(fx.uh, fy.u, self._group(x), self._group(y).T, self.strategy.dim)
 
     def win_probability(self, x, y) -> float:
         mask = self.game.accept_mask(x, y)
         gram = self.cross_gram(x, y)
         return float((gram * mask).sum())
+
+    def win_probabilities(self, pairs: list) -> list:
+        """[win_probability(x, y) for x, y in pairs], with the same bits.
+
+        Masks and forms are built in pair order, so a refusal is the one
+        the per-pair loop meets first.  Pairs whose questions share group
+        matrices are queued and scored as one stack once _STACK_BYTES of
+        d x d unitaries are queued, or one at a time where fewer than two
+        fit; every slice of the stacked products has the layout of the
+        one-pair operands, so BLAS makes the same calls per pair.
+        """
+        size = _STACK_BYTES // (16 * self.strategy.dim**2)
+        if size < 2:
+            return [self.win_probability(x, y) for x, y in pairs]
+        out = [0.0] * len(pairs)
+        queues: dict = {}
+        for k, (x, y) in enumerate(pairs):
+            mask = self.game.accept_mask(x, y)
+            uh, u = self.form(x).uh, self.form(y).u
+            gx, gy = self._group(x), self._group(y)
+            gx, gy, queue = queues.setdefault((id(gx), id(gy)), (gx, gy, []))
+            queue.append((k, uh, u, mask))
+            if len(queue) == size:
+                self._score(gx, gy, queue, out)
+                queue.clear()
+        for gx, gy, queue in queues.values():
+            if queue:
+                self._score(gx, gy, queue, out)
+        return out
+
+    def _score(self, gx, gy, queue: list, out: list) -> None:
+        ks, uhs, us, masks = zip(*queue)
+        gram = _gram(np.array(uhs), np.array(us), gx, gy.T, self.strategy.dim)
+        probs = (gram * np.array(masks)).reshape(len(ks), -1).sum(axis=1)
+        for k, p in zip(ks, probs.tolist()):
+            out[k] = p
 
     def worst_commutator(self, x, y) -> float:
         """max over (a,b) of ||[M^x_a, M^y_b]||_tau.
@@ -464,14 +522,15 @@ def value(game: Game, strategy: SynchronousStrategy) -> EvaluationReport:
     """Exact value of a synchronous strategy.
 
     Iterates nontrivial pairs only; trivial pairs contribute winning mass
-    analytically.  Pair contributions are accumulated with compensated
-    summation in the fixed order of nontrivial_pairs, so results are
-    bit-stable.
+    analytically.  Each pair costs one d x d unitary product; below d=64
+    pairs of one answer shape run in stacks (win_probabilities).  Pair
+    contributions are accumulated with compensated summation in the fixed
+    order of nontrivial_pairs, so results are bit-stable.
     """
     n = len(game.questions)
     ev = StrategyEvaluator(game, strategy)
     pairs = list(game.nontrivial_pairs())
-    probs = [ev.win_probability(x, y) for x, y in pairs]
+    probs = ev.win_probabilities(pairs)
 
     per_pair = dict(zip(pairs, probs))
     trivial_count = n * n - len(pairs)
@@ -560,41 +619,6 @@ def is_oracularizable(
     for x, y in pairs:
         worst = max(worst, ev.worst_commutator(x, y))
     return worst <= DEFAULT_TOL, worst
-
-
-def tensor_extend(s1: SynchronousStrategy, s2: SynchronousStrategy, combine) -> SynchronousStrategy:
-    """Build a product strategy with measurements kron(M1, M2) per the map.
-
-    combine(question) returns (q1, q2) or (q1, q2, merge) where merge maps
-    an outcome pair (a1, a2) to the output label (default: the tuple
-    itself).  The resulting dimension is the product of the inputs'.  The
-    product is factored: its parts are those of M1 then those of M2, a
-    densely measured question counting as one part.
-    """
-
-    def parts_of(s, q):
-        spec = None if s.factors is None else s.factors(q)
-        if spec is None:
-            m = s.measurement(q)
-            return [m], {a: (a,) for a in m.labels}
-        return spec
-
-    def factors(q):
-        spec = combine(q)
-        q1, q2 = spec[:2]
-        merge = spec[2] if len(spec) == 3 else lambda a1, a2: (a1, a2)
-        parts1, index1 = parts_of(s1, q1)
-        parts2, index2 = parts_of(s2, q2)
-        index = {}
-        for a1, row1 in index1.items():
-            for a2, row2 in index2.items():
-                label = merge(a1, a2)
-                if label in index:
-                    raise ValueError("duplicate outcome labels")
-                index[label] = row1 + row2
-        return [*parts1, *parts2], index
-
-    return SynchronousStrategy(s1.dim * s2.dim, None, factors=factors)
 
 
 def table_game(

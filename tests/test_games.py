@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncgames.algebra import Measurement, bitstrings, closeness
+from syncgames.algebra import Measurement, bitstrings
 from syncgames.builtins import (
     MS_EQUATIONS,
     MS_QUESTIONS,
@@ -23,16 +23,22 @@ from syncgames.games import (
     is_oracularizable,
     sampled_value,
     table_game,
-    tensor_extend,
     value,
     Game,
     StrategyEvaluator,
     SynchronousStrategy,
 )
 from syncgames.optimize import haar_unitary, perturb_strategy
-from syncgames.transform import INTRO_SPECIALS, introspect, lift_introspection
+from syncgames.transform import (
+    INTRO_SPECIALS,
+    introspect,
+    lift_introspection,
+    lift_oracularize,
+    oracularize,
+)
 
 import syncgames.builtins as builtins
+import syncgames.games as games
 from helpers import assert_synchronous, rebuilt_game, recording, rng_for, two_of_n_reference_mask
 
 
@@ -465,69 +471,6 @@ class TestQuestionSampling:
                 assert np.abs(a @ b - b @ a).max() < 1e-10
 
 
-class TestTensorExtend:
-    def test_trivial_factor_preserves(self):
-        game, strategy = magic_square()
-        _, unit = trivial_game(2)
-        one = SynchronousStrategy(
-            1, {"u": Measurement(("only",), [np.eye(1, dtype=complex)], "projective")}
-        )
-        combined = tensor_extend(strategy, one, lambda q: (q, "u"))
-        assert combined.dim == 4
-        for x in game.questions:
-            m = combined.measurement(x)
-            base = strategy.measurement(x)
-            for (a, _), lab in zip(m.labels, base.labels):
-                assert a == lab
-            for e1, e2 in zip(m.elements, base.elements):
-                assert np.allclose(e1, e2)
-
-    def test_two_copies_give_two_of_two(self):
-        game2, honest2 = two_of_n_ms(2)
-        _, ms = magic_square()
-
-        def combine(q):
-            i, j, x, y = q
-            if i == 1:
-                return (x, y, lambda a, b: (a, b))
-            return (y, x, lambda a, b: (b, a))
-
-        built = tensor_extend(ms, ms, combine)
-        assert built.dim == 16
-        for q in list(game2.questions)[::37]:
-            ma = built.measurement(q)
-            mb = honest2.measurement(q)
-            assert sorted(ma.labels) == sorted(mb.labels)
-            aligned = Measurement(
-                mb.labels, [ma.element(lab) for lab in mb.labels], kind="projective"
-            )
-            assert closeness(aligned, mb) < 1e-12
-
-    def test_dims_multiply(self):
-        _, a = magic_square()
-        _, b = two_of_n_ms(2)
-        combined = tensor_extend(a, b, lambda q: (q[0], q[1]))
-        assert combined.dim == 64
-
-    def test_evaluated_from_parts(self, monkeypatch):
-        game, ms = magic_square()
-        one = SynchronousStrategy(
-            2, {"u": Measurement(("only",), [np.eye(2, dtype=complex)], "projective")}
-        )
-        combined = tensor_extend(ms, one, lambda q: (q, "u", lambda a, b: a))
-        shapes = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
-        assert value(game, combined).value == pytest.approx(1.0, abs=1e-12)
-        assert shapes and (8, 8) not in shapes
-
-    def test_repeated_merged_labels_refused(self):
-        _, ms = magic_square()
-        combined = tensor_extend(ms, ms, lambda q: (q, q, lambda a, b: a))
-        with pytest.raises(ValueError, match="duplicate outcome labels"):
-            combined.measurement("s11")
-
-
 class TestValueInvariants:
     def test_unitary_conjugation_invariance(self):
         game, strategy = magic_square()
@@ -783,3 +726,64 @@ class TestFactoredStrategies:
         assert value(game, strategy).value == pytest.approx(1.0, abs=1e-12)
         # 15 Magic Square measurements, the C^4 identity and two sampling parts
         assert built == [] and calls == [(4, 4)] * 18
+
+
+def _oracularized_magic_square():
+    base, honest = magic_square()
+    return oracularize(base), lift_oracularize(base, honest)
+
+
+STACKED = {
+    **BUILTINS,
+    "magic_square": magic_square,
+    "magic_square.orac": _oracularized_magic_square,
+    **{name: functools.partial(factored, name) for name in FACTORED},
+}
+
+
+class TestStackedEvaluation:
+    """win_probabilities scores the pairs of one answer shape as stacks;
+    every probability keeps the bits of the one-pair win_probability."""
+
+    @pytest.mark.parametrize("kind", ["honest", "perturbed", "conjugated"])
+    @pytest.mark.parametrize("name", sorted(STACKED))
+    def test_same_bits_as_one_pair_at_a_time(self, name, kind):
+        game, strategy = STACKED[name]()
+        if kind != "honest":
+            strategy = perturb_strategy(strategy, 0.05, 7, list(game.questions))
+        if kind == "conjugated":
+            strategy = strategy.conjugated(haar_unitary(strategy.dim, rng_for("stacked", name)))
+        pairs = list(game.nontrivial_pairs())
+        one = StrategyEvaluator(game, strategy)
+        expected = [one.win_probability(x, y) for x, y in pairs]
+        assert StrategyEvaluator(game, strategy).win_probabilities(pairs) == expected
+
+    def test_classes_longer_than_one_stack(self):
+        game, strategy = factored("two_of_2_ms")
+        shapes = [(len(game.answers(x)), len(game.answers(y))) for x, y in game.nontrivial_pairs()]
+        stack = games._STACK_BYTES // (16 * strategy.dim**2)
+        assert 1 < stack < shapes.count((16, 4)) and stack < shapes.count((4, 16))
+
+    @pytest.mark.parametrize("first", ["wrong_dim", "mixed"])
+    def test_refusal_is_the_first_met_in_pair_order(self, first):
+        """Two faulty questions: value refuses with the text of the one
+        the one-pair loop reaches first."""
+        game, honest = magic_square()
+        pairs = list(game.nontrivial_pairs())
+        order = list(dict.fromkeys(q for pair in pairs for q in pair))
+        early, late = order[3], order[-3]
+        wrong_dim, mixed = (early, late) if first == "wrong_dim" else (late, early)
+        mixed_in = mixed_strategy(game, honest, [mixed], 0.5)
+        table = {x: mixed_in.measurement(x) for x in game.questions}
+        table[wrong_dim] = Measurement((0, 1), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], kind="projective")
+        strategy = SynchronousStrategy(4, table.__getitem__)
+        ev = StrategyEvaluator(game, strategy)
+        with pytest.raises(ValueError) as one:
+            [ev.win_probability(x, y) for x, y in pairs]
+        with pytest.raises(ValueError) as stacked:
+            value(game, strategy)
+        assert str(stacked.value) == str(one.value)
+        if first == "wrong_dim":
+            assert str(one.value) == f"measurement for {wrong_dim!r} has dim 2, strategy dim 4"
+        else:
+            assert str(one.value) == "measurement is not projective within tolerance"
