@@ -128,6 +128,12 @@ def _ms_honest_measurements() -> dict:
     return table
 
 
+def _ms_game() -> Game:
+    return Game(
+        "magic_square", list(MS_QUESTIONS), lambda x: _MS_ANSWERS[x], lambda x, y: _MS_MASKS.get((x, y))
+    )
+
+
 def magic_square() -> tuple[Game, SynchronousStrategy]:
     """Magic Square game over 6 equation and 9 variable questions.
 
@@ -135,11 +141,11 @@ def magic_square() -> tuple[Game, SynchronousStrategy]:
     the decider rejects the unsatisfying ones.  The honest dim-4 strategy
     realizes the Pauli observable grid.
     """
-    game = Game(
-        "magic_square", list(MS_QUESTIONS), lambda x: _MS_ANSWERS[x], lambda x, y: _MS_MASKS.get((x, y))
-    )
-    strategy = SynchronousStrategy(4, _ms_honest_measurements())
-    return game, strategy
+    return _ms_game(), SynchronousStrategy(4, _ms_honest_measurements())
+
+
+# the copy game of the 2-of-n slots
+_MS_GAME = _ms_game()
 
 
 # answer positions (qpos, rpos) a shared copy can take in a 2-of-n pair
@@ -148,25 +154,39 @@ _SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _TWO_OF_N_MASKS: dict = {}
 
 
+def _two_of_n_slots(q, r):
+    """Game.slots of a 2-of-n pair, None when the pair is trivial.
+
+    A pair is nontrivial when the players share an instance and every
+    shared instance carries a nontrivial Magic Square pair; both players
+    may hold the same Magic Square question there, so the pairs include
+    Magic Square diagonals.  Each shared instance gives one slot (qpos,
+    rpos, x, y): answer component qpos of q answers x, rpos of r answers y.
+    """
+    slots = []
+    for qpos, rpos in _SLOTS:
+        if q[qpos] == r[rpos]:
+            x, y = q[2 + qpos], r[2 + rpos]
+            if (x, y) not in _MS_MASKS:
+                return None
+            slots.append((qpos, rpos, x, y))
+    return (_MS_GAME, tuple(slots)) if slots else None
+
+
 def _two_of_n_rule(q, r):
     """Product accept mask of a 2-of-n pair, None when trivial.
 
-    A pair is nontrivial when the players share an instance and every
-    shared instance carries a nontrivial Magic Square pair; the mask is
-    the product of those pairs' masks over the answer components.  Both
-    players may hold the same Magic Square question on a shared instance,
-    so the factors include Magic Square diagonals.  The mask depends only
-    on each shared slot's (qpos, rpos, x, y) and the four answer-set
-    sizes, not on the copies or the free questions, so it is built once
-    per key and shared read-only: one shared copy gives 4 slot layouts x
-    51 Magic Square pairs x 4 free sizes, two give 2 layouts x 51**2.
+    The mask is the product of the slots' Magic Square masks over the
+    answer components.  It depends only on the slots and the four
+    answer-set sizes, not on the copies or the free questions, so it is
+    built once per key and shared read-only: one shared copy gives 4 slot
+    layouts x 51 Magic Square pairs x 4 free sizes, two give 2 layouts x
+    51**2.
     """
-    slots = tuple((qpos, rpos, q[2 + qpos], r[2 + rpos]) for qpos, rpos in _SLOTS if q[qpos] == r[rpos])
-    if not slots:
+    shared = _two_of_n_slots(q, r)
+    if shared is None:
         return None
-    for _, _, x, y in slots:
-        if (x, y) not in _MS_MASKS:
-            return None
+    slots = shared[1]
     sizes = (len(_MS_ANSWERS[q[2]]), len(_MS_ANSWERS[q[3]]), len(_MS_ANSWERS[r[2]]), len(_MS_ANSWERS[r[3]]))
     mask = _TWO_OF_N_MASKS.get((slots, sizes))
     if mask is None:
@@ -257,6 +277,7 @@ def two_of_n_ms(n: int) -> tuple[Game, SynchronousStrategy]:
         _two_of_n_answers,
         _two_of_n_rule,
         nontrivial_pairs=lambda: _two_of_n_pairs_iter(n),
+        slots=_two_of_n_slots,
     )
     factors = _two_of_n_factors(n, _ms_honest_measurements())
     return game, SynchronousStrategy(4**n, None, factors=factors)
@@ -345,6 +366,7 @@ def question_sampling(n: int) -> tuple[Game, SynchronousStrategy]:
         answers,
         rule,
         nontrivial_pairs=pairs_iter,
+        slots=lambda q, r: _two_of_n_slots(q, r) if q in base_set and r in base_set else None,
     )
 
     ms_meas = _ms_honest_measurements()

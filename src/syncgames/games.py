@@ -23,8 +23,12 @@ projective within DEFAULT_TOL and carries the game's answer labels.  The
 eigenbasis of a factored measurement is the Kronecker product of its
 parts' eigenbases, each diagonalized once per evaluator, so such a
 question is never densified.  Exact evaluation walks only the nontrivial
-question pairs (trivial pairs contribute winning mass analytically) and,
-below d=64, stacks them by answer shape: StrategyEvaluator.win_probabilities
+question pairs (trivial pairs contribute winning mass analytically).  A
+pair that the game's slots hook splits over shared tensor copies, and
+whose two questions are factored exactly on those copies, scores as the
+product of its copies' win probabilities (StrategyEvaluator.copy_win),
+each from _gram on the parts' eigenbases once per evaluator.  Every other
+pair goes through StrategyEvaluator.win_probabilities, which below d=64
 runs the pairs whose questions share their answer-group sizes through
 _gram as stacked products, with the bits of one pair at a time.  Sampled
 evaluation draws answer pairs from the one-pair cross_gram.
@@ -33,6 +37,7 @@ evaluation draws answer pairs from the one-pair cross_gram.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -94,7 +99,13 @@ class Game:
     cached arrays.  Optional hooks provide direct nontrivial-pair enumeration
     (which fixes the pair order of exact evaluation), a bulk filter
     maybe_nontrivial(xi, yi) over arrays of question indices (False only
-    where the rule returns None; it may be True on trivial pairs).
+    where the rule returns None; it may be True on trivial pairs) and
+    slots(x, y), for games built from tensor copies of one copy game.  On a
+    nontrivial pair whose mask is a product over the copies both players
+    ask about, slots returns (copy_game, slots) with one slot (kx, ky, u, v)
+    per shared copy: answer component kx of x and ky of y answer the copy
+    game's questions u and v there, and rule(x, y) at answers (a, b) is the
+    product of copy_game.rule(u, v) at (a[kx], b[ky]); on other pairs None.
     Question labels must be hashable.  Answers are encoded in binary by
     their index (index_answer_bits).
     """
@@ -108,6 +119,7 @@ class Game:
         *,
         nontrivial_pairs=None,
         maybe_nontrivial=None,
+        slots=None,
     ):
         self.name = name
         self.questions = questions
@@ -115,6 +127,7 @@ class Game:
         self._rule = rule
         self._nontrivial_pairs = nontrivial_pairs
         self.maybe_nontrivial = maybe_nontrivial
+        self.slots = slots
         self._answer_cache: dict = {}
 
     def __repr__(self):
@@ -362,6 +375,31 @@ class _EigenForm:
         return form
 
 
+def _copy_layout(parts: list, index: dict, answers: tuple, dim: int):
+    """((part, copy) per answer component, part dimensions) when index is
+    exactly a copy layout, else None.
+
+    That is: index lists the game's answers; each row puts component k of
+    its answer on a copy c_k of its own, and the answers are the product of
+    the labels of the parts on those copies; every other part has a single
+    outcome, which every row names; and the part dimensions multiply to dim.
+    """
+    rows = list(index.values())
+    if tuple(index) != answers or math.prod(p.dim for p in parts) != dim:
+        return None
+    if any(len(row) != len(parts) for row in rows):
+        return None
+    columns = list(zip(*rows))
+    copies = [columns.index(c) if c in columns else -1 for c in zip(*answers)]
+    if -1 in copies or len(set(copies)) != len(copies):
+        return None
+    if answers != tuple(itertools.product(*(parts[c].labels for c in copies))):
+        return None
+    if any(c not in copies and columns[c] != p.labels * len(rows) for c, p in enumerate(parts)):
+        return None
+    return tuple((parts[c], c) for c in copies), tuple(p.dim for p in parts)
+
+
 def _group_matrix(counts: np.ndarray, dim: int) -> np.ndarray:
     s = np.zeros((len(counts), dim))
     pos = 0
@@ -403,6 +441,8 @@ class StrategyEvaluator:
         self._groups: dict = {}
         self._shared_groups: dict = {}  # counts.tobytes() -> group matrix
         self._parts: dict = {}  # id(part) -> (part, its form, {label: group})
+        self._layouts: dict = {}  # question -> layout(question)
+        self._copy_wins: dict = {}  # (id(part_x), id(part_y), u, v) -> that copy's win
 
     def form(self, x) -> _EigenForm:
         try:
@@ -432,17 +472,61 @@ class StrategyEvaluator:
             return form, groups
 
     def _group(self, x) -> np.ndarray:
-        """0/1 matrix summing x's basis columns by answer, one object per
-        list of group sizes, so that pairs can be stacked by it."""
+        """0/1 matrix summing x's basis columns by answer."""
         try:
             return self._groups[x]
         except KeyError:
-            counts = self.form(x).counts
-            key = counts.tobytes()
-            if key not in self._shared_groups:
-                self._shared_groups[key] = _group_matrix(counts, self.strategy.dim)
-            g = self._groups[x] = self._shared_groups[key]
+            g = self._groups[x] = self._group_of(self.form(x).counts)
             return g
+
+    def _group_of(self, counts: np.ndarray) -> np.ndarray:
+        """Group matrix of a form's group sizes, one object per list of
+        sizes, so that pairs can be stacked by it."""
+        key = counts.tobytes()
+        if key not in self._shared_groups:
+            self._shared_groups[key] = _group_matrix(counts, int(counts.sum()))
+        return self._shared_groups[key]
+
+    def layout(self, x):
+        """_copy_layout of x's factors, or None.  Every part of a copy
+        layout goes through _part; its d x d form is not built."""
+        if x in self._layouts:
+            return self._layouts[x]
+        spec = None if self.strategy.factors is None else self.strategy.factors(x)
+        out = None if spec is None else _copy_layout(*spec, self.game.answers(x), self.strategy.dim)
+        if out is not None:
+            for part in spec[0]:
+                self._part(part)
+        self._layouts[x] = out
+        return out
+
+    def copy_win(self, x, y):
+        """win_probability(x, y) as the product over the pair's slots of
+        each shared copy's win probability, or None where the game gives no
+        slots, a question is no copy layout, the two split the dimension
+        differently, or slots do not sit on distinct shared copies.  A copy
+        one player alone asks about contributes 1: its elements sum to the
+        identity."""
+        shared = None if self.game.slots is None else self.game.slots(x, y)
+        lx = None if shared is None else self.layout(x)
+        ly = None if lx is None else self.layout(y)
+        if ly is None or lx[1] != ly[1]:
+            return None
+        copy_game, slots = shared
+        win, copies = 1.0, []
+        for kx, ky, u, v in slots:
+            (px, c), (py, cy) = lx[0][kx], ly[0][ky]
+            if c != cy or c in copies:
+                return None
+            copies.append(c)
+            key = (id(px), id(py), u, v)
+            w = self._copy_wins.get(key)
+            if w is None:  # the copy game's pair (u, v) under parts px and py
+                (fx, _), (fy, _) = self._part(px), self._part(py)
+                gram = _gram(fx.uh, fy.u, self._group_of(fx.counts), self._group_of(fy.counts).T, px.dim)
+                w = self._copy_wins[key] = float((gram * copy_game.rule(u, v)).sum())
+            win *= w
+        return win
 
     def cross_gram(self, x, y) -> np.ndarray:
         """Matrix of tr(M^x_a M^y_b)/dim over answer pairs."""
@@ -522,15 +606,31 @@ def value(game: Game, strategy: SynchronousStrategy) -> EvaluationReport:
     """Exact value of a synchronous strategy.
 
     Iterates nontrivial pairs only; trivial pairs contribute winning mass
-    analytically.  Each pair costs one d x d unitary product; below d=64
-    pairs of one answer shape run in stacks (win_probabilities).  Pair
-    contributions are accumulated with compensated summation in the fixed
-    order of nontrivial_pairs, so results are bit-stable.
+    analytically.  When the game has a slots hook and the strategy has
+    factors, a pair with slots whose questions are both copy layouts costs
+    a product of per-copy win probabilities (copy_win), with no d x d
+    form; every other pair costs one d x d unitary product, and below d=64
+    pairs of one answer shape run in stacks (win_probabilities).  Forms are
+    built in pair order either way, so a refusal is the one the pair loop
+    meets first.  Pair contributions are accumulated with compensated
+    summation in the fixed order of nontrivial_pairs, so results are
+    bit-stable.
     """
     n = len(game.questions)
     ev = StrategyEvaluator(game, strategy)
     pairs = list(game.nontrivial_pairs())
-    probs = ev.win_probabilities(pairs)
+    if game.slots is None or strategy.factors is None:
+        probs = ev.win_probabilities(pairs)
+    else:
+        probs = []
+        for x, y in pairs:
+            p = ev.copy_win(x, y)
+            if p is None:  # built here, so that refusals are met in pair order
+                ev.form(x), ev.form(y)
+            probs.append(p)
+        rest = [k for k, p in enumerate(probs) if p is None]
+        for k, p in zip(rest, ev.win_probabilities([pairs[k] for k in rest])):
+            probs[k] = p
 
     per_pair = dict(zip(pairs, probs))
     trivial_count = n * n - len(pairs)
@@ -608,8 +708,11 @@ def is_oracularizable(
 
     Returns (all residuals <= DEFAULT_TOL, worst residual).  max_pairs caps the
     number of nontrivial pairs examined (deterministic evenly spaced
-    subsample) for games whose pair set is too large to exhaust.
+    subsample) for games whose pair set is too large to exhaust; it must
+    be at least 1.
     """
+    if max_pairs is not None and max_pairs < 1:
+        raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
     ev = StrategyEvaluator(game, strategy)
     pairs = list(game.nontrivial_pairs())
     if max_pairs is not None and len(pairs) > max_pairs:

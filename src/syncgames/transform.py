@@ -279,8 +279,11 @@ def introspect(game: Game) -> Game:
             yield (q, r)
             yield (r, q)
 
+    def slots(q, r):
+        return qs_game.slots(q, r) if q in qs_set and r in qs_set else None
+
     questions = qs_questions + list(INTRO_SPECIALS)
-    return Game(f"{game.name}.intro", questions, answers, rule, nontrivial_pairs=pairs)
+    return Game(f"{game.name}.intro", questions, answers, rule, nontrivial_pairs=pairs, slots=slots)
 
 
 def lift_introspection(game: Game, strategy: SynchronousStrategy) -> SynchronousStrategy:

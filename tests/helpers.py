@@ -6,11 +6,11 @@ import zlib
 
 import numpy as np
 
-from syncgames.algebra import Measurement
-from syncgames.builtins import _MS_ANSWERS, _MS_MASKS
+from syncgames.algebra import Measurement, bitstrings
+from syncgames.builtins import MS_QUESTIONS, _MS_ANSWERS, _MS_MASKS, magic_square, two_of_n_ms
 from syncgames.cooklevin import CNF, Assignment
-from syncgames.games import Game
-from syncgames.optimize import haar_unitary
+from syncgames.games import Game, SynchronousStrategy
+from syncgames.optimize import haar_unitary, perturb_strategy
 
 
 def rng_for(*key) -> np.random.Generator:
@@ -183,6 +183,55 @@ def two_of_n_reference_mask(q, r):
     for qpos, rpos, factor in factors:
         mask &= factor[rows[qpos][:, None], cols[rpos][None, :]]
     return mask
+
+
+def slot_mask(game, x, y):
+    """Product over the slots of (x, y) of the copy game's masks, each read
+    at the answer components its slot names."""
+    copy_game, slots = game.slots(x, y)
+    mask = np.ones((len(game.answers(x)), len(game.answers(y))), dtype=bool)
+    for kx, ky, u, v in slots:
+        rows = [copy_game.answers(u).index(a[kx]) for a in game.answers(x)]
+        cols = [copy_game.answers(v).index(b[ky]) for b in game.answers(y)]
+        mask &= copy_game.accept_mask(u, v)[np.ix_(rows, cols)]
+    return mask
+
+
+def per_copy_strategy(n: int, magnitude: float, seed: int) -> SynchronousStrategy:
+    """The honest 2-of-n strategy with copy c's Magic Square parts replaced
+    by perturb_strategy(magnitude, seed + c) of the honest ones."""
+    _, ms = magic_square()
+    copies = [perturb_strategy(ms, magnitude, seed + c, MS_QUESTIONS) for c in range(n)]
+    _, honest = two_of_n_ms(n)
+
+    def factors(q):
+        i, j, x, y = q
+        parts, index = honest.factors(q)
+        parts[i - 1], parts[j - 1] = copies[i - 1].measurement(x), copies[j - 1].measurement(y)
+        return parts, index
+
+    return SynchronousStrategy(honest.dim, None, factors=factors)
+
+
+def clash_game():
+    """Game on {0,1}^2 whose off-diagonal pairs are all nontrivial, with a
+    strategy measuring anticommuting bases: never oracularizable."""
+    questions = bitstrings(2)
+    game = Game(
+        "clash",
+        list(questions),
+        lambda x: (0, 1),
+        # every off-diagonal pair nontrivial and winning: commuting required
+        lambda x, y: np.ones((2, 2), dtype=bool),
+    )
+    zb = Measurement((0, 1), [np.diag([1.0, 0j]), np.diag([0j, 1.0])], "projective")
+    xb = Measurement(
+        (0, 1),
+        [np.full((2, 2), 0.5, dtype=complex), np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)],
+        "projective",
+    )
+    table = {q: (zb if q[0] == 0 else xb) for q in questions}
+    return game, SynchronousStrategy(2, table)
 
 
 def recording(game, calls: list):

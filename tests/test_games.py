@@ -39,7 +39,16 @@ from syncgames.transform import (
 
 import syncgames.builtins as builtins
 import syncgames.games as games
-from helpers import assert_synchronous, rebuilt_game, recording, rng_for, two_of_n_reference_mask
+from helpers import (
+    assert_synchronous,
+    clash_game,
+    per_copy_strategy,
+    rebuilt_game,
+    recording,
+    rng_for,
+    slot_mask,
+    two_of_n_reference_mask,
+)
 
 
 def deterministic_strategy(game, assignment):
@@ -265,6 +274,14 @@ class TestSynchronicity:
 
 
 class TestOracularizability:
+    def test_no_pairs_refused(self):
+        """max_pairs=0 would check nothing and report a clash strategy as
+        oracularizable."""
+        game, strategy = clash_game()
+        assert not is_oracularizable(game, strategy)[0]
+        with pytest.raises(ValueError, match="^max_pairs must be at least 1, got 0$"):
+            is_oracularizable(game, strategy, max_pairs=0)
+
     def test_dim_one_always(self):
         game, strategy = trivial_game(2)
         ok, worst = is_oracularizable(game, strategy)
@@ -785,5 +802,115 @@ class TestStackedEvaluation:
         assert str(stacked.value) == str(one.value)
         if first == "wrong_dim":
             assert str(one.value) == f"measurement for {wrong_dim!r} has dim 2, strategy dim 4"
+        else:
+            assert str(one.value) == "measurement is not projective within tolerance"
+
+
+class TestPerCopyEvaluation:
+    """value scores a pair with slots whose questions are copy layouts as
+    the product of its shared copies' Magic Square win probabilities."""
+
+    @pytest.mark.parametrize("name", FACTORED)
+    def test_copy_masks_multiply_to_the_rule(self, name):
+        game, _ = factored(name)
+        slotted = 0
+        for x, y in game.nontrivial_pairs():
+            if game.slots(x, y) is None:  # sampling, erasure and introspection questions
+                assert isinstance(x, str) or isinstance(y, str), (x, y)
+                continue
+            assert np.array_equal(slot_mask(game, x, y), game.rule(x, y)), (x, y)
+            slotted += 1
+        assert slotted == 10404
+
+    @pytest.mark.parametrize("name", FACTORED)
+    def test_honest_pairs_agree_with_win_probability(self, name):
+        game, strategy = factored(name)
+        report = value(game, strategy)
+        ev = StrategyEvaluator(game, strategy)
+        per_copy = 0
+        for (x, y), p in report.per_pair.items():
+            assert abs(p - ev.win_probability(x, y)) <= 1e-15, (x, y)
+            if game.slots(x, y) is not None:
+                assert ev.copy_win(x, y) == p and abs(p - 1.0) <= 1e-14, (x, y)
+                per_copy += 1
+        assert per_copy == 10404
+
+    def test_seeded_pairs_of_two_of_three(self):
+        """At d=64 the dense reference itself sits up to 2.2e-15 from 1 on
+        these pairs, and up to 1.3e-15 from the per-copy value."""
+        game, strategy = two_of_n_ms(3)
+        report = value(game, strategy)
+        pairs = list(report.per_pair)
+        ev = StrategyEvaluator(game, strategy)
+        for i in rng_for("per-copy", 3).choice(len(pairs), size=20000, replace=False):
+            x, y = pairs[int(i)]
+            p = report.per_pair[(x, y)]
+            assert abs(p - ev.win_probability(x, y)) <= 4e-15 and abs(p - 1.0) <= 1e-14, (x, y)
+
+    @settings(derandomize=True, database=None, max_examples=8, deadline=None)
+    @given(magnitude=st.floats(0.0, 0.3), seed=st.integers(0, 2**16))
+    def test_per_copy_perturbations_match_hidden_factors(self, magnitude, seed):
+        """Each copy carries its own perturbed Magic Square parts; hiding
+        the factors sends every pair through the dense path."""
+        game, _ = two_of_n_ms(2)
+        strategy = per_copy_strategy(2, magnitude, seed)
+        ev = StrategyEvaluator(game, strategy)
+        assert all(ev.copy_win(x, y) is not None for x, y in game.nontrivial_pairs())
+        fac, dense = value(game, strategy), value(game, dense_only(strategy))
+        assert abs(fac.value - dense.value) <= 1e-14
+        assert max(abs(p - dense.per_pair[pair]) for pair, p in fac.per_pair.items()) <= 1e-14
+
+    def test_component_on_the_wrong_copy_takes_the_dense_path(self):
+        game, honest = two_of_n_ms(2)
+        q = (1, 2, "r1", "s12")
+        parts, index = honest.factors(q)
+        swapped = [parts[1], parts[0]], {a: row[::-1] for a, row in index.items()}
+
+        def factors(x):
+            return swapped if x == q else honest.factors(x)
+
+        strategy = SynchronousStrategy(honest.dim, None, factors=factors)
+        ev = StrategyEvaluator(game, strategy)
+        assert ev.layout(q) is not None  # a copy layout still, on copies 1 and 0
+        report = value(game, strategy)
+        # against itself q keeps the per-copy path: both sides share its copies
+        asked = [pair for pair in report.per_pair if q in pair and pair != (q, q)]
+        assert asked and all(ev.copy_win(x, y) is None for x, y in asked)
+        assert [report.per_pair[pair] for pair in asked] == [ev.win_probability(x, y) for x, y in asked]
+        for pair in ((q, q), next(pair for pair in report.per_pair if q not in pair)):
+            assert ev.copy_win(*pair) == report.per_pair[pair]
+        assert report.value < 1 and abs(report.value - value(game, dense_only(strategy)).value) <= 1e-14
+
+    @pytest.mark.parametrize("first", ["wrong_dim", "non_projective"])
+    def test_refusal_is_the_first_met_in_pair_order(self, first):
+        """A dense question of the wrong dimension and a copy layout with a
+        non-projective part: value refuses with the text of the one the
+        one-pair loop reaches first."""
+        game, honest = two_of_n_ms(2)
+        pairs = list(game.nontrivial_pairs())
+        order = list(dict.fromkeys(q for pair in pairs for q in pair))
+        early, late = order[3], order[-3]
+        wrong_dim, non_projective = (early, late) if first == "wrong_dim" else (late, early)
+        parts, index = honest.factors(non_projective)
+        parts[1] = Measurement(parts[1].labels, [1.1234 * e for e in parts[1].elements], kind="projective")
+
+        def factors(x):
+            if x == wrong_dim:
+                return None
+            return (parts, index) if x == non_projective else honest.factors(x)
+
+        def build(x):
+            eye, zero = np.eye(2), np.zeros((2, 2))
+            return Measurement(game.answers(x), [eye] + [zero] * (len(game.answers(x)) - 1), kind="projective")
+
+        strategy = SynchronousStrategy(honest.dim, build, factors=factors)
+        ev = StrategyEvaluator(game, strategy)
+        with pytest.raises(ValueError) as one:
+            [ev.win_probability(x, y) for x, y in pairs]
+        with pytest.raises(ValueError) as per_copy:
+            value(game, strategy)
+        assert str(per_copy.value) == str(one.value)
+        if first == "wrong_dim":
+            assert str(one.value) == f"measurement for {wrong_dim!r} has dim 2, strategy dim 16"
         else:
             assert str(one.value) == "measurement is not projective within tolerance"

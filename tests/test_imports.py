@@ -185,8 +185,8 @@ def test_package_imports_only_exported_names():
     assert unexported_imports(init, exports) == []
 
 
-SETTABLE_DEFAULTS_CEILING = 20
-SRC_LINES_CEILING = 4162
+SETTABLE_DEFAULTS_CEILING = 21
+SRC_LINES_CEILING = 4290
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:

@@ -16,7 +16,6 @@ from syncgames.builtins import (
 )
 from syncgames.cooklevin import compile_cnf, simulate, tableau_assignment
 from syncgames.games import (
-    Game,
     StrategyEvaluator,
     SynchronousStrategy,
     index_answer_bits,
@@ -25,7 +24,7 @@ from syncgames.games import (
     table_game,
     value,
 )
-from syncgames.algebra import Measurement, bitstrings
+from syncgames.algebra import bitstrings
 from syncgames.optimize import haar_unitary, perturb_strategy
 from syncgames.serialize import machine_to_doc
 from syncgames.transform import (
@@ -44,6 +43,7 @@ from syncgames.transform import (
 
 from helpers import (
     assert_synchronous,
+    clash_game,
     engaged_rows,
     question_index,
     rebuilt_game,
@@ -97,27 +97,6 @@ def reduced_lift(name: str, strategy):
         return lift_gapless_compress(consistency_game(2)[0], strategy, 8, compressed=game)
     ctx = game.ar_context
     return lift_answer_reduce(ctx.game, strategy, ctx.T, reduced=game)
-
-
-def clash_game():
-    """Game on {0,1}^2 whose off-diagonal pairs are all nontrivial, with a
-    strategy measuring anticommuting bases: never oracularizable."""
-    questions = bitstrings(2)
-    game = Game(
-        "clash",
-        list(questions),
-        lambda x: (0, 1),
-        # every off-diagonal pair nontrivial and winning: commuting required
-        lambda x, y: np.ones((2, 2), dtype=bool),
-    )
-    zb = Measurement((0, 1), [np.diag([1.0, 0j]), np.diag([0j, 1.0])], "projective")
-    xb = Measurement(
-        (0, 1),
-        [np.full((2, 2), 0.5, dtype=complex), np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)],
-        "projective",
-    )
-    table = {q: (zb if q[0] == 0 else xb) for q in questions}
-    return game, SynchronousStrategy(2, table)
 
 
 def index_pairs(game, rng, count: int) -> np.ndarray:
