@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from .algebra import Measurement, bitstrings
-from .games import Game, SynchronousStrategy, _identity_part, _transposed
+from .games import Game, SynchronousStrategy, _extended_game, _identity_part, _transposed
 
 __all__ = [
     "magic_square",
@@ -266,21 +266,23 @@ def _two_of_n_factors(n: int, ms_meas: dict):
     return factors
 
 
-def two_of_n_ms(n: int) -> tuple[Game, SynchronousStrategy]:
-    """2-of-n Magic Square: n parallel instances, two queried per player."""
-    if n < 2:
-        raise ValueError("two_of_n_ms requires n >= 2")
-    questions = _two_of_n_questions(n)
-    game = Game(
+def _two_of_n_game(n: int) -> Game:
+    return Game(
         f"two_of_{n}_ms",
-        questions,
+        _two_of_n_questions(n),
         _two_of_n_answers,
         _two_of_n_rule,
         nontrivial_pairs=lambda: _two_of_n_pairs_iter(n),
         slots=_two_of_n_slots,
     )
+
+
+def two_of_n_ms(n: int) -> tuple[Game, SynchronousStrategy]:
+    """2-of-n Magic Square: n parallel instances, two queried per player."""
+    if n < 2:
+        raise ValueError("two_of_n_ms requires n >= 2")
     factors = _two_of_n_factors(n, _ms_honest_measurements())
-    return game, SynchronousStrategy(4**n, None, factors=factors)
+    return _two_of_n_game(n), SynchronousStrategy(4**n, None, factors=factors)
 
 
 _QS_SPECIALS = ("S_A", "S_B", "E_A", "E_B")
@@ -325,49 +327,18 @@ def question_sampling(n: int) -> tuple[Game, SynchronousStrategy]:
     """
     if n < 2 or n % 2:
         raise ValueError("question_sampling requires even n >= 2")
-    base_questions = _two_of_n_questions(n)
-    questions = base_questions + list(_QS_SPECIALS)
+    base = _two_of_n_game(n)
     strings = tuple(bitstrings(n))
-    base_set = set(base_questions)
-
-    def answers(q):
-        if q in _QS_SPECIALS:
-            return strings
-        return _two_of_n_answers(q)
-
-    def special_mask(q, special):
-        """Base question q against a sampling/erasure question, or None."""
-        bit = _qs_special_row(q, special, n)
-        if bit is None:
-            return None
-        first = np.array([a[0] for a in _two_of_n_answers(q)])
-        return first[:, None] == np.array([s[bit] for s in strings])[None, :]
-
-    def rule(q, r):
-        if q in base_set:
-            return _two_of_n_rule(q, r) if r in base_set else special_mask(q, r)
-        if r in base_set:
-            return _transposed(special_mask(r, q))
-        return None  # two distinct sampling/erasure questions
-
-    def pairs_iter():
-        yield from _two_of_n_pairs_iter(n)
+    # a base question (i, j, v, .) against a special: its answer to v must
+    # equal the special's string at the bit _qs_special_row picks
+    edges = {}
+    for q in base.questions:
         for s in _QS_SPECIALS:
-            yield (s, s)
-        for q in base_questions:
-            for s in _QS_SPECIALS:
-                if _qs_special_row(q, s, n) is not None:
-                    yield (q, s)
-                    yield (s, q)
-
-    game = Game(
-        f"question_sampling_{n}",
-        questions,
-        answers,
-        rule,
-        nontrivial_pairs=pairs_iter,
-        slots=lambda q, r: _two_of_n_slots(q, r) if q in base_set and r in base_set else None,
-    )
+            bit = _qs_special_row(q, s, n)
+            if bit is not None:
+                first = np.array([a[0] for a in _two_of_n_answers(q)])
+                edges[(q, s)] = first[:, None] == np.array([y[bit] for y in strings])[None, :]
+    game = _extended_game(f"question_sampling_{n}", base, dict.fromkeys(_QS_SPECIALS, strings), edges)
 
     ms_meas = _ms_honest_measurements()
     base_factors = _two_of_n_factors(n, ms_meas)

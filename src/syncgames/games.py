@@ -23,15 +23,15 @@ projective within DEFAULT_TOL and carries the game's answer labels.  The
 eigenbasis of a factored measurement is the Kronecker product of its
 parts' eigenbases, each diagonalized once per evaluator, so such a
 question is never densified.  Exact evaluation walks only the nontrivial
-question pairs (trivial pairs contribute winning mass analytically).  A
-pair that the game's slots hook splits over shared tensor copies, and
-whose two questions are factored exactly on those copies, scores as the
-product of its copies' win probabilities (StrategyEvaluator.copy_win),
-each from _gram on the parts' eigenbases once per evaluator.  Every other
-pair goes through StrategyEvaluator.win_probabilities, which below d=64
-runs the pairs whose questions share their answer-group sizes through
-_gram as stacked products, with the bits of one pair at a time.  Sampled
-evaluation draws answer pairs from the one-pair cross_gram.
+question pairs (trivial pairs contribute winning mass analytically), all
+through StrategyEvaluator.win_probabilities.  A pair that the game's slots
+hook splits over shared tensor copies, and whose two questions are
+factored exactly on those copies, scores there as the product of its
+copies' win probabilities (copy_win), each from _gram on the parts'
+eigenbases once per evaluator.  Below d=64 the other pairs whose
+questions share their answer-group sizes run through _gram as stacked
+products, with the bits of one pair at a time.  Sampled evaluation draws
+answer pairs from the one-pair cross_gram.
 """
 
 from __future__ import annotations
@@ -92,22 +92,23 @@ class Game:
     games whose question space is too large to materialize).  answers(x)
     lists the answer labels of x.  The pair rule is called for ordered
     pairs (x, y) with x != y only, and returns the boolean accept mask
-    over answers(x) x answers(y), or None for a trivial pair; it must
-    return None before building anything, since samplers test millions of
-    pairs.  Game.rule answers the diagonal (x, x) itself with a cached
-    identity mask.  Masks are read-only to callers, so a rule may return
-    cached arrays.  Optional hooks provide direct nontrivial-pair enumeration
-    (which fixes the pair order of exact evaluation), a bulk filter
-    maybe_nontrivial(xi, yi) over arrays of question indices (False only
-    where the rule returns None; it may be True on trivial pairs) and
-    slots(x, y), for games built from tensor copies of one copy game.  On a
-    nontrivial pair whose mask is a product over the copies both players
-    ask about, slots returns (copy_game, slots) with one slot (kx, ky, u, v)
-    per shared copy: answer component kx of x and ky of y answer the copy
-    game's questions u and v there, and rule(x, y) at answers (a, b) is the
-    product of copy_game.rule(u, v) at (a[kx], b[ky]); on other pairs None.
-    Question labels must be hashable.  Answers are encoded in binary by
-    their index (index_answer_bits).
+    over answers(x) x answers(y), or None for a trivial pair; rule(y, x)
+    is the transpose of rule(x, y).  It must return None before building
+    anything, since samplers test millions of pairs.  Game.rule answers the
+    diagonal (x, x) itself with a cached identity mask.  Masks are
+    read-only to callers, so a rule may return cached arrays.  Optional
+    hooks provide direct nontrivial-pair enumeration (which fixes the pair
+    order of exact evaluation), a bulk filter maybe_nontrivial(xi, yi) over
+    arrays of question indices (False only where the rule returns None; it
+    may be True on trivial pairs) and slots(x, y), for games built from
+    tensor copies of one copy game.  On a nontrivial pair whose mask is a
+    product over the copies both players ask about, slots returns
+    (copy_game, slots) with one slot (kx, ky, u, v) per shared copy: answer
+    component kx of x and ky of y answer the copy game's questions u and v
+    there, and rule(x, y) at answers (a, b) is the product of
+    copy_game.rule(u, v) at (a[kx], b[ky]); on other pairs None.  Question
+    labels must be hashable.  Answers are encoded in binary by their index
+    (index_answer_bits).
     """
 
     def __init__(
@@ -308,10 +309,10 @@ class _EigenForm:
     eigendecomposition of sum_a (a_index + 1) M_a, whose eigenvalues must
     be integers and whose M_a must sum to the identity, within DEFAULT_TOL,
     or, by product(), from the forms of a factored measurement's parts
-    without one.
+    without one.  group is the 0/1 matrix summing the columns by answer.
     """
 
-    __slots__ = ("u", "uh", "starts", "counts")
+    __slots__ = ("u", "uh", "starts", "counts", "group")
 
     def __init__(self, m: Measurement, labels_expected):
         _check_labels(m.labels, labels_expected)
@@ -339,6 +340,7 @@ class _EigenForm:
         self.uh = np.ascontiguousarray(self.u.conj().T)
         self.counts = counts
         self.starts = np.concatenate(([0], np.cumsum(self.counts)))
+        self.group = _group_matrix(tuple(counts.tolist()))
 
     @classmethod
     def product(cls, parts: list, index: dict) -> "_EigenForm":
@@ -400,12 +402,16 @@ def _copy_layout(parts: list, index: dict, answers: tuple, dim: int):
     return tuple((parts[c], c) for c in copies), tuple(p.dim for p in parts)
 
 
-def _group_matrix(counts: np.ndarray, dim: int) -> np.ndarray:
-    s = np.zeros((len(counts), dim))
+@functools.cache
+def _group_matrix(counts: tuple) -> np.ndarray:
+    """Read-only group matrix of a list of group sizes, one object per
+    list, so that pairs can be stacked by it."""
+    s = np.zeros((len(counts), sum(counts)))
     pos = 0
     for i, c in enumerate(counts):
         s[i, pos : pos + c] = 1.0
         pos += c
+    s.flags.writeable = False
     return s
 
 
@@ -438,8 +444,6 @@ class StrategyEvaluator:
         self.game = game
         self.strategy = strategy
         self._forms: dict = {}
-        self._groups: dict = {}
-        self._shared_groups: dict = {}  # counts.tobytes() -> group matrix
         self._parts: dict = {}  # id(part) -> (part, its form, {label: group})
         self._layouts: dict = {}  # question -> layout(question)
         self._copy_wins: dict = {}  # (id(part_x), id(part_y), u, v) -> that copy's win
@@ -470,22 +474,6 @@ class StrategyEvaluator:
             groups = {label: k for k, label in enumerate(part.labels)}
             self._parts[id(part)] = (part, form, groups)
             return form, groups
-
-    def _group(self, x) -> np.ndarray:
-        """0/1 matrix summing x's basis columns by answer."""
-        try:
-            return self._groups[x]
-        except KeyError:
-            g = self._groups[x] = self._group_of(self.form(x).counts)
-            return g
-
-    def _group_of(self, counts: np.ndarray) -> np.ndarray:
-        """Group matrix of a form's group sizes, one object per list of
-        sizes, so that pairs can be stacked by it."""
-        key = counts.tobytes()
-        if key not in self._shared_groups:
-            self._shared_groups[key] = _group_matrix(counts, int(counts.sum()))
-        return self._shared_groups[key]
 
     def layout(self, x):
         """_copy_layout of x's factors, or None.  Every part of a copy
@@ -523,7 +511,7 @@ class StrategyEvaluator:
             w = self._copy_wins.get(key)
             if w is None:  # the copy game's pair (u, v) under parts px and py
                 (fx, _), (fy, _) = self._part(px), self._part(py)
-                gram = _gram(fx.uh, fy.u, self._group_of(fx.counts), self._group_of(fy.counts).T, px.dim)
+                gram = _gram(fx.uh, fy.u, fx.group, fy.group.T, px.dim)
                 w = self._copy_wins[key] = float((gram * copy_game.rule(u, v)).sum())
             win *= w
         return win
@@ -531,7 +519,7 @@ class StrategyEvaluator:
     def cross_gram(self, x, y) -> np.ndarray:
         """Matrix of tr(M^x_a M^y_b)/dim over answer pairs."""
         fx, fy = self.form(x), self.form(y)
-        return _gram(fx.uh, fy.u, self._group(x), self._group(y).T, self.strategy.dim)
+        return _gram(fx.uh, fy.u, fx.group, fy.group.T, self.strategy.dim)
 
     def win_probability(self, x, y) -> float:
         mask = self.game.accept_mask(x, y)
@@ -539,29 +527,37 @@ class StrategyEvaluator:
         return float((gram * mask).sum())
 
     def win_probabilities(self, pairs: list) -> list:
-        """[win_probability(x, y) for x, y in pairs], with the same bits.
+        """Win probability of each pair: copy_win where it answers, else
+        win_probability with the same bits.
 
-        Masks and forms are built in pair order, so a refusal is the one
-        the per-pair loop meets first.  Pairs whose questions share group
-        matrices are queued and scored as one stack once _STACK_BYTES of
-        d x d unitaries are queued, or one at a time where fewer than two
-        fit; every slice of the stacked products has the layout of the
-        one-pair operands, so BLAS makes the same calls per pair.
+        Pairs are taken in order, each through copy_win (tried only when the
+        game has slots and the strategy factors) and then its mask and
+        forms, so a refusal is the one the per-pair loop meets first.  Pairs
+        whose questions share group matrices are queued and scored as one
+        stack once _STACK_BYTES of d x d unitaries are queued, or one at a
+        time where fewer than two fit; every slice of the stacked products
+        has the layout of the one-pair operands, so BLAS makes the same
+        calls per pair.
         """
+        per_copy = self.game.slots is not None and self.strategy.factors is not None
         size = _STACK_BYTES // (16 * self.strategy.dim**2)
-        if size < 2:
-            return [self.win_probability(x, y) for x, y in pairs]
         out = [0.0] * len(pairs)
         queues: dict = {}
         for k, (x, y) in enumerate(pairs):
-            mask = self.game.accept_mask(x, y)
-            uh, u = self.form(x).uh, self.form(y).u
-            gx, gy = self._group(x), self._group(y)
-            gx, gy, queue = queues.setdefault((id(gx), id(gy)), (gx, gy, []))
-            queue.append((k, uh, u, mask))
-            if len(queue) == size:
-                self._score(gx, gy, queue, out)
-                queue.clear()
+            p = self.copy_win(x, y) if per_copy else None
+            if p is not None:
+                out[k] = p
+            elif size < 2:
+                out[k] = self.win_probability(x, y)
+            else:
+                mask = self.game.accept_mask(x, y)
+                fx, fy = self.form(x), self.form(y)
+                gx, gy = fx.group, fy.group
+                gx, gy, queue = queues.setdefault((id(gx), id(gy)), (gx, gy, []))
+                queue.append((k, fx.uh, fy.u, mask))
+                if len(queue) == size:
+                    self._score(gx, gy, queue, out)
+                    queue.clear()
         for gx, gy, queue in queues.values():
             if queue:
                 self._score(gx, gy, queue, out)
@@ -585,7 +581,7 @@ class StrategyEvaluator:
         fx, fy = self.form(x), self.form(y)
         w = fx.uh @ fy.u
         d = self.strategy.dim
-        gx = self._group(x)
+        gx = fx.group
         worst = 0.0
         for j in range(len(fy.counts)):
             if fy.counts[j] == 0:
@@ -606,32 +602,18 @@ def value(game: Game, strategy: SynchronousStrategy) -> EvaluationReport:
     """Exact value of a synchronous strategy.
 
     Iterates nontrivial pairs only; trivial pairs contribute winning mass
-    analytically.  When the game has a slots hook and the strategy has
-    factors, a pair with slots whose questions are both copy layouts costs
-    a product of per-copy win probabilities (copy_win), with no d x d
-    form; every other pair costs one d x d unitary product, and below d=64
-    pairs of one answer shape run in stacks (win_probabilities).  Forms are
-    built in pair order either way, so a refusal is the one the pair loop
-    meets first.  Pair contributions are accumulated with compensated
-    summation in the fixed order of nontrivial_pairs, so results are
-    bit-stable.
+    analytically.  All pairs are scored by win_probabilities: when the game
+    has a slots hook and the strategy has factors, a pair with slots whose
+    questions are both copy layouts costs a product of per-copy win
+    probabilities (copy_win), with no d x d form; every other pair costs
+    one d x d unitary product, and below d=64 pairs of one answer shape run
+    in stacks.  A refusal is the one the pair loop meets first.  Pair
+    contributions are accumulated with compensated summation in the fixed
+    order of nontrivial_pairs, so results are bit-stable.
     """
     n = len(game.questions)
-    ev = StrategyEvaluator(game, strategy)
     pairs = list(game.nontrivial_pairs())
-    if game.slots is None or strategy.factors is None:
-        probs = ev.win_probabilities(pairs)
-    else:
-        probs = []
-        for x, y in pairs:
-            p = ev.copy_win(x, y)
-            if p is None:  # built here, so that refusals are met in pair order
-                ev.form(x), ev.form(y)
-            probs.append(p)
-        rest = [k for k, p in enumerate(probs) if p is None]
-        for k, p in zip(rest, ev.win_probabilities([pairs[k] for k in rest])):
-            probs[k] = p
-
+    probs = StrategyEvaluator(game, strategy).win_probabilities(pairs)
     per_pair = dict(zip(pairs, probs))
     trivial_count = n * n - len(pairs)
     total = (trivial_count + math.fsum(probs)) / (n * n)
@@ -704,17 +686,19 @@ def is_oracularizable(
     *,
     max_pairs: int | None = None,
 ) -> tuple[bool, float]:
-    """Worst commutator residual over nontrivial pairs, compared to DEFAULT_TOL.
+    """Worst commutator residual over off-diagonal nontrivial pairs,
+    compared to DEFAULT_TOL.
 
-    Returns (all residuals <= DEFAULT_TOL, worst residual).  max_pairs caps the
-    number of nontrivial pairs examined (deterministic evenly spaced
+    Returns (all residuals <= DEFAULT_TOL, worst residual).  Diagonal pairs
+    are skipped: a projective measurement commutes with itself.  max_pairs
+    caps the number of pairs examined (deterministic evenly spaced
     subsample) for games whose pair set is too large to exhaust; it must
     be at least 1.
     """
     if max_pairs is not None and max_pairs < 1:
         raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
     ev = StrategyEvaluator(game, strategy)
-    pairs = list(game.nontrivial_pairs())
+    pairs = [(x, y) for x, y in game.nontrivial_pairs() if x != y]
     if max_pairs is not None and len(pairs) > max_pairs:
         idxs = np.linspace(0, len(pairs) - 1, max_pairs).astype(int)
         pairs = [pairs[int(i)] for i in idxs]
@@ -738,7 +722,8 @@ def table_game(
     (the game accepts exactly a = b there), as are questions listed twice,
     answer lists that are empty, list an answer twice or belong to no listed
     question, pairs naming other questions, accepted answers a question does
-    not list and listed pairs without accept sets; each refusal names the
+    not list, entries for (x, y) and (y, x) that are not mirrors of each
+    other and listed pairs without accept sets; each refusal names the
     argument (the table document's field) at fault.
     """
     questions = list(questions)
@@ -771,8 +756,10 @@ def table_game(
         for a, b in pairs:
             if a not in answers[x] or b not in answers[y]:
                 raise ValueError(f"table field 'accept' pair {(x, y)!r} accepts {(a, b)!r}, not in 'answers'")
-        accept_sets[(x, y)] = frozenset(pairs)
-        accept_sets.setdefault((y, x), frozenset((b, a) for a, b in pairs))
+        ok = frozenset(pairs)
+        if accept_sets.get((x, y), ok) != ok:
+            raise ValueError(f"table field 'accept' pair {(x, y)!r} is not the mirror of {(y, x)!r}")
+        accept_sets[(x, y)], accept_sets[(y, x)] = ok, frozenset((b, a) for a, b in ok)
     for pair in nontrivial_pairs:
         if pair not in accept_sets:
             raise ValueError(f"table field 'accept' has no entry for nontrivial pair {pair!r}")
@@ -785,3 +772,40 @@ def table_game(
         return np.array([[(a, b) in ok for b in answers[y]] for a in answers[x]], dtype=bool)
 
     return Game(name, questions, lambda x: answers[x], rule)
+
+
+def _extended_game(name: str, base: Game, specials: dict, edges: dict) -> Game:
+    """base plus the special questions of specials {question: answers}.
+
+    A special's nontrivial pairs are its diagonal and the edges {(q, r):
+    accept mask} naming it; each edge also holds in the order (r, q) with
+    the transposed mask, and every edge mask is made read-only.  Pairs of
+    base questions keep the base's rule, slots hook (which base must have)
+    and order; the specials' diagonals follow them, then the edges in dict
+    order, each in both orders.
+    """
+    table = {}
+    for (q, r), mask in edges.items():
+        table[(q, r)], table[(r, q)] = mask, _transposed(mask)
+    for mask in table.values():
+        mask.flags.writeable = False
+
+    def answers(q):
+        return specials[q] if q in specials else base._answers(q)
+
+    def rule(q, r):
+        if q in specials or r in specials:
+            return table.get((q, r))
+        return base._rule(q, r)
+
+    def pairs():
+        yield from base.nontrivial_pairs()
+        for s in specials:
+            yield (s, s)
+        yield from table
+
+    def slots(q, r):
+        return None if q in specials or r in specials else base.slots(q, r)
+
+    questions = list(base.questions) + list(specials)
+    return Game(name, questions, answers, rule, nontrivial_pairs=pairs, slots=slots)

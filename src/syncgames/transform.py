@@ -39,6 +39,7 @@ from .cooklevin import (
 from .games import (
     Game,
     SynchronousStrategy,
+    _extended_game,
     _identity_part,
     _transposed,
     index_answer_bits,
@@ -217,13 +218,8 @@ def introspect(game: Game) -> Game:
     """
     l, special_answers = _intro_answers(game)
     qs_game, _ = question_sampling(l)
-    qs_questions = list(qs_game.questions)
-    qs_set = set(qs_questions)
     xs = bitstrings(l)
     iw, iwq, transcripts = (special_answers[q] for q in ("I_A", "I_A.S_B", INTRO_I))
-
-    def answers(q):
-        return qs_game.answers(q) if q in qs_set else special_answers[q]
 
     def equal_mask(keys_a, keys_b):
         return np.array([[ka == kb for kb in keys_b] for ka in keys_a], dtype=bool)
@@ -249,41 +245,17 @@ def introspect(game: Game) -> Game:
     sampled_x = equal_mask([x for x, _ in iw], xs)
     # (x, a, y) against the other player's sampled or erased string y
     other_y = equal_mask([c[2] for c in iwq], xs)
-    # the twelve special edges (q, r, accept mask); (r, q) is the transpose
-    edges = []
+    # the twelve special edges {(q, r): accept mask}; (r, q) is the transpose
+    edges = {}
     for w, o in (("A", "B"), ("B", "A")):
-        edges += [
-            (INTRO_I, f"I_{w}", transcript_mask(w)),
-            (f"I_{w}", f"I_{w}.S_{o}", same_xa),
-            (f"I_{w}", f"S_{w}", sampled_x),
-            (f"I_{w}", f"I_{w}.E_{o}", same_xa),
-            (f"I_{w}.E_{o}", f"E_{o}", other_y),
-            (f"I_{w}.S_{o}", f"S_{o}", other_y),
-        ]
-    edge_masks = {}
-    for q, r, mask in edges:
-        edge_masks[(q, r)], edge_masks[(r, q)] = mask, _transposed(mask)
-    for mask in edge_masks.values():
-        mask.flags.writeable = False
-
-    def rule(q, r):
-        if q in qs_set and r in qs_set:
-            return qs_game.rule(q, r)
-        return edge_masks.get((q, r))
-
-    def pairs():
-        yield from qs_game.nontrivial_pairs()
-        for s in INTRO_SPECIALS:
-            yield (s, s)
-        for q, r, _ in edges:
-            yield (q, r)
-            yield (r, q)
-
-    def slots(q, r):
-        return qs_game.slots(q, r) if q in qs_set and r in qs_set else None
-
-    questions = qs_questions + list(INTRO_SPECIALS)
-    return Game(f"{game.name}.intro", questions, answers, rule, nontrivial_pairs=pairs, slots=slots)
+        edges[(INTRO_I, f"I_{w}")] = transcript_mask(w)
+        edges[(f"I_{w}", f"I_{w}.S_{o}")] = same_xa
+        edges[(f"I_{w}", f"S_{w}")] = sampled_x
+        edges[(f"I_{w}", f"I_{w}.E_{o}")] = same_xa
+        edges[(f"I_{w}.E_{o}", f"E_{o}")] = other_y
+        edges[(f"I_{w}.S_{o}", f"S_{o}")] = other_y
+    specials = {q: special_answers[q] for q in INTRO_SPECIALS}
+    return _extended_game(f"{game.name}.intro", qs_game, specials, edges)
 
 
 def lift_introspection(game: Game, strategy: SynchronousStrategy) -> SynchronousStrategy:

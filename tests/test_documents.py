@@ -181,14 +181,17 @@ def test_table_question_listed_twice(files):
          "error: table field 'answers' has a list for question 'z', not in 'questions'"),
         ("accept", {"accept": {'["x","y"]': [[0, 2]]}},
          "error: table field 'accept' pair ('x', 'y') accepts (0, 2), not in 'answers'"),
+        ("accept", {"accept": {'["x","y"]': [[0, 0], [1, 1]], '["y","x"]': [[0, 1], [1, 0]]}},
+         "error: table field 'accept' pair ('y', 'x') is not the mirror of ('x', 'y')"),
     ],
     ids=["empty_answers", "repeated_answer", "object_answer", "unlisted_question",
-         "unlisted_accepted_answer"],
+         "unlisted_accepted_answer", "not_mirrored"],
 )
 def test_table_answer_refusals(files, field, table, line):
     # the empty and object lists failed naming no field; the repeated answer,
     # the list for an unlisted question and the unlisted accepted answer
-    # loaded as a different game or with the entry ignored
+    # loaded as a different game or with the entry ignored; the entries that
+    # are not mirrors loaded a game whose rule(y, x) is not rule(x, y).T
     doc = {"table": {**TABLE, **table}}
     assert check_mutant(files, "table", doc, ("table", field), "resize") == [line]
 

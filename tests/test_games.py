@@ -282,6 +282,20 @@ class TestOracularizability:
         with pytest.raises(ValueError, match="^max_pairs must be at least 1, got 0$"):
             is_oracularizable(game, strategy, max_pairs=0)
 
+    @pytest.mark.parametrize("max_pairs", [1, 2, 7, 400, None])
+    def test_diagonals_never_examined(self, monkeypatch, max_pairs):
+        """A diagonal commutes with itself; a subsample of max_pairs holds
+        that many off-diagonal pairs, or all of them."""
+        game, strategy = magic_square()
+        seen = []
+        worst = games.StrategyEvaluator.worst_commutator
+        monkeypatch.setattr(games.StrategyEvaluator, "worst_commutator",
+                            lambda ev, x, y: seen.append((x, y)) or worst(ev, x, y))
+        assert is_oracularizable(game, strategy, max_pairs=max_pairs)[0]
+        off = [(x, y) for x, y in game.nontrivial_pairs() if x != y]
+        assert all(x != y for x, y in seen) and len(set(seen)) == len(seen)
+        assert len(seen) == (len(off) if max_pairs is None else min(max_pairs, len(off)))
+
     def test_dim_one_always(self):
         game, strategy = trivial_game(2)
         ok, worst = is_oracularizable(game, strategy)
@@ -359,6 +373,20 @@ class TestTwoOfN:
                 assert game.nontrivial(x, y) == game.nontrivial(y, x), game.name
                 mask = game.accept_mask(x, y)
                 assert np.array_equal(game.accept_mask(y, x), mask.T), game.name
+
+    @pytest.mark.parametrize("name", ["question_sampling_2", "consistency_2.intro"])
+    def test_composite_masks_transposed_and_read_only(self, name):
+        """Every nontrivial pair's mirror has the transposed mask, and a
+        special question's edge masks are tabulated read-only at build."""
+        game = question_sampling(2)[0] if name == "question_sampling_2" else introspect(consistency_game(2)[0])
+        edges = 0
+        for x, y in game.nontrivial_pairs():
+            mask = game.rule(x, y)
+            assert np.array_equal(game.rule(y, x), mask.T), (x, y)
+            if x != y and (isinstance(x, str) or isinstance(y, str)):
+                assert not mask.flags.writeable and game.rule(x, y) is mask, (x, y)
+                edges += 1
+        assert edges == {"question_sampling_2": 240, "consistency_2.intro": 264}[name]
 
 
 class TestTwoOfNMasks:
@@ -565,6 +593,16 @@ class TestTableGame:
         with pytest.raises(ValueError, match=message):
             table_game("bad", ["x", "y"], answers, listed, accept)
 
+    def test_accept_sets_that_are_not_mirrors_refused(self):
+        # this table loaded with rule(y, x) != rule(x, y).T, which the
+        # see-saw's coefficients and every builtin and transform assume
+        accept = {("x", "y"): [(0, 0), (1, 1)], ("y", "x"): [(0, 1), (1, 0)]}
+        with pytest.raises(ValueError, match=r"^table field 'accept' pair \('y', 'x'\) is not the mirror of \('x', 'y'\)$"):
+            table_game("t", ["x", "y", "z"], {**self.XY, "z": (0, 1)}, [("x", "y")], accept)
+        mirrored = {("x", "y"): [(0, 1)], ("y", "x"): [(1, 0)]}
+        game = table_game("t", ["x", "y"], self.XY, [("x", "y")], mirrored)
+        assert np.array_equal(game.rule("y", "x"), game.rule("x", "y").T)
+
     def test_accept_set_given_for_the_reversed_pair(self):
         game = table_game("rev", ["x", "y"], self.XY, [("x", "y")], {("y", "x"): [(0, 1)]})
         assert game.accept_mask("x", "y").tolist() == [[False, False], [True, False]]
@@ -760,7 +798,8 @@ STACKED = {
 
 class TestStackedEvaluation:
     """win_probabilities scores the pairs of one answer shape as stacks;
-    every probability keeps the bits of the one-pair win_probability."""
+    every probability keeps the bits of the one-pair win_probability, or
+    of copy_win where that answers."""
 
     @pytest.mark.parametrize("kind", ["honest", "perturbed", "conjugated"])
     @pytest.mark.parametrize("name", sorted(STACKED))
@@ -772,8 +811,11 @@ class TestStackedEvaluation:
             strategy = strategy.conjugated(haar_unitary(strategy.dim, rng_for("stacked", name)))
         pairs = list(game.nontrivial_pairs())
         one = StrategyEvaluator(game, strategy)
-        expected = [one.win_probability(x, y) for x, y in pairs]
+        per_copy = [one.copy_win(x, y) for x, y in pairs]
+        expected = [one.win_probability(*pair) if p is None else p for pair, p in zip(pairs, per_copy)]
         assert StrategyEvaluator(game, strategy).win_probabilities(pairs) == expected
+        if kind != "honest":  # dense strategies keep the one-pair bits throughout
+            assert per_copy == [None] * len(pairs)
 
     def test_classes_longer_than_one_stack(self):
         game, strategy = factored("two_of_2_ms")
