@@ -82,7 +82,7 @@ class Measurement:
 
     labels: tuple
     elements: list[np.ndarray] = field(repr=False)
-    kind: str = "general"
+    kind: str
 
     def __post_init__(self):
         self.labels = tuple(self.labels)

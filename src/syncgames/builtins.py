@@ -217,34 +217,25 @@ def _two_of_n_answers(q):
 
 
 def _two_of_n_pairs_iter(n: int):
-    """Direct enumeration of the nontrivial ordered pairs."""
-    instance_pairs = [
-        ((i, j), (k, l))
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-        for k in range(1, n + 1)
-        for l in range(1, n + 1)
-        if k != l and ({i, j} & {k, l})
-    ]
-    for (i, j), (k, l) in instance_pairs:
-        shared_slots = [(qpos, rpos) for qpos, rpos in _SLOTS if (i, j)[qpos] == (k, l)[rpos]]
-        q_free = [p for p in (0, 1) if p not in {qp for qp, _ in shared_slots}]
-        r_free = [p for p in (0, 1) if p not in {rp for _, rp in shared_slots}]
-        pools = [_MS_NONTRIVIAL_PAIRS] * len(shared_slots)
-        pools += [MS_QUESTIONS] * (len(q_free) + len(r_free))
-        for combo in itertools.product(*pools):
-            qv = [None, None]
-            rv = [None, None]
-            for (qpos, rpos), (xq, xr) in zip(shared_slots, combo):
-                qv[qpos] = xq
-                rv[rpos] = xr
-            rest = combo[len(shared_slots) :]
-            for p, val in zip(q_free, rest[: len(q_free)]):
-                qv[p] = val
-            for p, val in zip(r_free, rest[len(q_free) :]):
-                rv[p] = val
-            yield (i, j, qv[0], qv[1]), (k, l, rv[0], rv[1])
+    """Direct enumeration of the nontrivial ordered pairs: for each two
+    copy pairs that share a copy, every Magic Square pair on each shared
+    slot times every question on each free component.  Component c of a
+    pair is side c // 2 (0 for q, 1 for r), question position c % 2."""
+    copies = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for q in copies:
+        for r in copies:
+            shared = [(qpos, 2 + rpos) for qpos, rpos in _SLOTS if q[qpos] == r[rpos]]
+            if not shared:
+                continue
+            free = [c for c in range(4) if all(c not in s for s in shared)]
+            pools = [_MS_NONTRIVIAL_PAIRS] * len(shared) + [MS_QUESTIONS] * len(free)
+            for combo in itertools.product(*pools):
+                v = [None] * 4
+                for (c, d), (x, y) in zip(shared, combo):
+                    v[c], v[d] = x, y
+                for c, x in zip(free, combo[len(shared) :]):
+                    v[c] = x
+                yield (*q, v[0], v[1]), (*r, v[2], v[3])
 
 
 def _two_of_n_factors(n: int, ms_meas: dict):

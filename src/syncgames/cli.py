@@ -304,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
+def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on usage errors
@@ -317,7 +317,7 @@ def run(argv=None) -> int:
 
 
 def main() -> None:  # console entry point
-    sys.exit(run())
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

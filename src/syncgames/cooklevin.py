@@ -291,11 +291,11 @@ class TableauLayout:
 @dataclass
 class CNF:
     """3SAT formula: clauses are width-3 tuples of signed 1-based indices,
-    checked unless the formula carries the TableauLayout it was compiled from."""
+    checked when layout (the TableauLayout it was compiled from) is None."""
 
     num_vars: int
     clauses: list[tuple[int, int, int]]
-    layout: TableauLayout | None = None
+    layout: TableauLayout | None
 
     def __post_init__(self):
         if self.layout is not None:
@@ -314,9 +314,6 @@ class Assignment:
 
     def __len__(self):
         return len(self.bits)
-
-    def value(self, var: int) -> int:
-        return self.bits[var - 1]
 
 
 def _clause(*lits) -> tuple[int, int, int]:

@@ -722,9 +722,10 @@ def table_game(
     (the game accepts exactly a = b there), as are questions listed twice,
     answer lists that are empty, list an answer twice or belong to no listed
     question, pairs naming other questions, accepted answers a question does
-    not list, entries for (x, y) and (y, x) that are not mirrors of each
-    other and listed pairs without accept sets; each refusal names the
-    argument (the table document's field) at fault.
+    not list, accept entries for unlisted pairs, entries for (x, y) and
+    (y, x) that are not mirrors of each other and listed pairs without
+    accept sets; each refusal names the argument (the table document's
+    field) at fault.
     """
     questions = list(questions)
     seen = set()
@@ -751,6 +752,10 @@ def table_game(
                 raise ValueError(
                     f"table field {field!r} pair {(x, y)!r} names a question not in 'questions'"
                 )
+    listed = {p for x, y in nontrivial_pairs for p in ((x, y), (y, x))}
+    for pair in accept:
+        if pair not in listed:
+            raise ValueError(f"table field 'accept' pair {pair!r} is not in 'nontrivial_pairs'")
     accept_sets = {}
     for (x, y), pairs in accept.items():
         for a, b in pairs:
@@ -763,7 +768,6 @@ def table_game(
     for pair in nontrivial_pairs:
         if pair not in accept_sets:
             raise ValueError(f"table field 'accept' has no entry for nontrivial pair {pair!r}")
-    listed = {p for x, y in nontrivial_pairs for p in ((x, y), (y, x))}
 
     def rule(x, y):
         if (x, y) not in listed:

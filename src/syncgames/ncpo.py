@@ -23,7 +23,7 @@ compact JSON with tuples as arrays):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .games import Game
 from .serialize import label_key
@@ -41,9 +41,9 @@ def _token(label) -> str:
 @dataclass
 class NcpoProgram:
     game_name: str
-    variables: list = field(default_factory=list)  # (side, qtok, atok)
-    objective: list = field(default_factory=list)  # (coeff, qtok, atok, rtok, btok)
-    constraints: list = field(default_factory=list)
+    variables: list  # (side, qtok, atok)
+    objective: list  # (coeff, qtok, atok, rtok, btok)
+    constraints: list
 
     def render(self) -> str:
         lines = ["ncpo 1", f"game {_token(self.game_name)}"]
@@ -62,7 +62,7 @@ def game_to_ncpo(game: Game) -> str:
     """Render the program text for a game (uniform question distribution)."""
     questions = list(game.questions)
     mu = 1.0 / len(questions) ** 2
-    prog = NcpoProgram(game_name=game.name)
+    prog = NcpoProgram(game.name, [], [], [])
     toks = {x: _token(x) for x in questions}
     # answer tokens, computed once for every loop below
     atoks = {x: [_token(a) for a in game.answers(x)] for x in questions}
@@ -97,7 +97,7 @@ def parse_ncpo(text: str) -> NcpoProgram:
         raise ValueError("missing ncpo header")
     if lines[-1] != "end":
         raise ValueError("missing end marker")
-    prog = NcpoProgram(game_name="")
+    prog = NcpoProgram("", [], [], [])
     expected_terms = None
     seen_terms = 0
     for ln in lines[1:-1]:

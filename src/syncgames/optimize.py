@@ -187,7 +187,7 @@ def seesaw(game: Game, cfg: SeesawConfig):
             x: _random_projective(len(game.answers(x)), cfg.dim, rng)
             for x in questions
         }
-        current = _strategy_value(game, meas, cfg.dim)
+        current = value(game, _as_strategy(game, meas, cfg.dim)).value
         trace.append((restart, 0, current))
         for it in range(1, cfg.max_iters + 1):
             for x in questions:
@@ -201,7 +201,7 @@ def seesaw(game: Game, cfg: SeesawConfig):
                 # keep the update only if the linear objective does not drop
                 if _local_objective(new, coeff) >= _local_objective(old, coeff) - 1e-14:
                     meas[x] = new
-            updated = _strategy_value(game, meas, cfg.dim)
+            updated = value(game, _as_strategy(game, meas, cfg.dim)).value
             trace.append((restart, it, updated))
             if updated <= current + cfg.improvement_tol:
                 current = max(current, updated)
@@ -210,13 +210,7 @@ def seesaw(game: Game, cfg: SeesawConfig):
         if current > best_value + 1e-15:
             best_value = current
             best_strategy = {x: [e.copy() for e in els] for x, els in meas.items()}
-    strategy = SynchronousStrategy(
-        cfg.dim,
-        {
-            x: Measurement(game.answers(x), els, kind="projective")
-            for x, els in best_strategy.items()
-        },
-    )
+    strategy = _as_strategy(game, best_strategy, cfg.dim)
     exact = value(game, strategy).value
     if abs(exact - best_value) > 1e-10:
         raise AssertionError(
@@ -225,15 +219,11 @@ def seesaw(game: Game, cfg: SeesawConfig):
     return strategy, exact, trace
 
 
-def _strategy_value(game: Game, meas: dict, dim: int) -> float:
-    strategy = SynchronousStrategy(
-        dim,
-        {
-            x: Measurement(game.answers(x), els, kind="projective")
-            for x, els in meas.items()
-        },
+def _as_strategy(game: Game, meas: dict, dim: int) -> SynchronousStrategy:
+    """The strategy whose question x measures the projectors meas[x]."""
+    return SynchronousStrategy(
+        dim, {x: Measurement(game.answers(x), els, "projective") for x, els in meas.items()}
     )
-    return value(game, strategy).value
 
 
 def classical_value(game: Game, cap: int = 10**8):

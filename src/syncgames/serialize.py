@@ -258,42 +258,46 @@ def game_from_doc(doc: dict):
     """
     if type(doc) is not dict or not {"builtin", "table", "transform"} & doc.keys():
         raise ValueError("game document needs 'builtin', 'table' or 'transform'")
+    if "transform" in doc:
+        name = _field(doc, "transform", "transform", str, TRANSFORMS)
+        _only_fields(doc, name, ("transform", "params", "base"))
+        params = _field(doc, "transform", "params", dict, default={})
+        _, takes_T = TRANSFORMS[name]
+        _only_fields(params, name, ("T",) if takes_T else ())
+        # a proof has about 14 T^2 variables; tests, demos and benchmarks use T in 2..8
+        T = [_field(params, name, "T", int, range(1, 65), None)] if takes_T else []
+        base, _ = game_from_doc(_field(doc, "transform", "base", dict))
+        return getattr(tr, name)(base, *T), None
     if "builtin" in doc:
+        _only_fields(doc, "game", ("builtin",))
         spec = doc["builtin"]
         kind = _field(spec, "builtin", "kind", str, BUILTIN_GAMES)
         build, size, allowed, default = BUILTIN_GAMES[kind]
         _only_fields(spec, kind, ("kind", size))
         return build() if size is None else build(_field(spec, kind, size, int, allowed, default))
-    if "table" in doc:
-        spec = doc["table"]
-        try:
-            answers = {
-                _labels("table", "answers", [json.loads(k)])[0]: _labels("table", "answers", v)
-                for k, v in _field(spec, "table", "answers", dict).items()
-            }
-            accept = {
-                _labels("table", "accept", json.loads(k), 2):
-                    [_labels("table", "accept", ab, 2) for ab in _labels("table", "accept", v)]
-                for k, v in _field(spec, "table", "accept", dict).items()
-            }
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"table key {exc.doc!r} in 'answers' or 'accept' isn't JSON") from None
-        pairs = _field(spec, "table", "nontrivial_pairs", list)
-        return table_game(
-            _field(spec, "table", "name", str, default="table"),
-            _labels("table", "questions", _field(spec, "table", "questions", list)),
-            answers,
-            [_labels("table", "nontrivial_pairs", pair, 2) for pair in pairs],
-            accept,
-        ), None
-    name = _field(doc, "transform", "transform", str, TRANSFORMS)
-    params = _field(doc, "transform", "params", dict, default={})
-    _, takes_T = TRANSFORMS[name]
-    _only_fields(params, name, ("T",) if takes_T else ())
-    # a proof has about 14 T^2 variables; tests, demos and benchmarks use T in 2..8
-    T = [_field(params, name, "T", int, range(1, 65), None)] if takes_T else []
-    base, _ = game_from_doc(_field(doc, "transform", "base", dict))
-    return getattr(tr, name)(base, *T), None
+    _only_fields(doc, "game", ("table",))
+    spec = doc["table"]
+    try:
+        answers = {
+            _labels("table", "answers", [json.loads(k)])[0]: _labels("table", "answers", v)
+            for k, v in _field(spec, "table", "answers", dict).items()
+        }
+        accept = {
+            _labels("table", "accept", json.loads(k), 2):
+                [_labels("table", "accept", ab, 2) for ab in _labels("table", "accept", v)]
+            for k, v in _field(spec, "table", "accept", dict).items()
+        }
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"table key {exc.doc!r} in 'answers' or 'accept' isn't JSON") from None
+    _only_fields(spec, "table", ("name", "questions", "answers", "accept", "nontrivial_pairs"))
+    pairs = _field(spec, "table", "nontrivial_pairs", list)
+    return table_game(
+        _field(spec, "table", "name", str, default="table"),
+        _labels("table", "questions", _field(spec, "table", "questions", list)),
+        answers,
+        [_labels("table", "nontrivial_pairs", pair, 2) for pair in pairs],
+        accept,
+    ), None
 
 
 def report_to_doc(report: EvaluationReport) -> dict:

@@ -257,7 +257,7 @@ class TestClauseAccess:
 
 class TestAssignments:
     def test_empty_formula_accepts(self):
-        cnf = CNF(3, [])
+        cnf = CNF(3, [], None)
         ok, violated = check_assignment(cnf, Assignment((0, 1, 0)))
         assert ok and violated is None
 
@@ -287,10 +287,10 @@ class TestAssignments:
     )
     def test_hand_built_formula_checked(self, clauses, message):
         with pytest.raises(ValueError, match=message):
-            CNF(3, clauses)
+            CNF(3, clauses, None)
 
     def test_length_mismatch_rejected(self):
-        cnf = CNF(3, [])
+        cnf = CNF(3, [], None)
         with pytest.raises(ValueError):
             check_assignment(cnf, Assignment((0, 1)))
 
@@ -347,20 +347,20 @@ class TestTableauAssignment:
 
 class TestBruteForce:
     def test_unit_clause(self):
-        cnf = CNF(1, [(1, 1, 1)])
+        cnf = CNF(1, [(1, 1, 1)], None)
         assert brute_force_sat(cnf) == Assignment((1,))
 
     def test_opposite_units_unsat(self):
-        cnf = CNF(1, [(1, 1, 1), (-1, -1, -1)])
+        cnf = CNF(1, [(1, 1, 1), (-1, -1, -1)], None)
         assert brute_force_sat(cnf) is None
 
     def test_lexicographic_order(self):
         # (x1 or x2): lexicographically first model is 01
-        cnf = CNF(2, [(1, 2, 2)])
+        cnf = CNF(2, [(1, 2, 2)], None)
         assert brute_force_sat(cnf) == Assignment((0, 1))
 
     def test_cap_enforced(self):
-        cnf = CNF(30, [(1, 1, 1)])
+        cnf = CNF(30, [(1, 1, 1)], None)
         with pytest.raises(ValueError):
             brute_force_sat(cnf)
 

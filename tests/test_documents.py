@@ -183,15 +183,18 @@ def test_table_question_listed_twice(files):
          "error: table field 'accept' pair ('x', 'y') accepts (0, 2), not in 'answers'"),
         ("accept", {"accept": {'["x","y"]': [[0, 0], [1, 1]], '["y","x"]': [[0, 1], [1, 0]]}},
          "error: table field 'accept' pair ('y', 'x') is not the mirror of ('x', 'y')"),
+        ("accept", {"nontrivial_pairs": []},
+         "error: table field 'accept' pair ('x', 'y') is not in 'nontrivial_pairs'"),
     ],
     ids=["empty_answers", "repeated_answer", "object_answer", "unlisted_question",
-         "unlisted_accepted_answer", "not_mirrored"],
+         "unlisted_accepted_answer", "not_mirrored", "unlisted_accept_pair"],
 )
 def test_table_answer_refusals(files, field, table, line):
     # the empty and object lists failed naming no field; the repeated answer,
     # the list for an unlisted question and the unlisted accepted answer
     # loaded as a different game or with the entry ignored; the entries that
-    # are not mirrors loaded a game whose rule(y, x) is not rule(x, y).T
+    # are not mirrors loaded a game whose rule(y, x) is not rule(x, y).T; the
+    # accept set of an unlisted pair loaded as a pair that always wins
     doc = {"table": {**TABLE, **table}}
     assert check_mutant(files, "table", doc, ("table", field), "resize") == [line]
 
@@ -229,11 +232,20 @@ def test_strategy_bool_equal_to_its_number(files, row):
         ("transform", {"transform": "answer_reduce", "params": {"T": 3, "R": 6},
                        "base": {"builtin": {"kind": "consistency", "l": 2}}},
          "error: answer_reduce document has no field 'R'"),
+        ("transform", {"transform": "oracularize", "builtin": {"kind": "trivial"},
+                       "base": {"builtin": {"kind": "consistency", "l": 2}}},
+         "error: oracularize document has no field 'builtin'"),
+        ("builtin", {"builtin": {"kind": "consistency", "l": 2}, "table": TABLE},
+         "error: game document has no field 'table'"),
+        ("table", {"table": {**TABLE, "extra": 3}},
+         "error: table document has no field 'extra'"),
     ],
     ids=["magic_square_n", "builtin_unknown", "builtin_other_size", "oracularize_T",
-         "answer_reduce_R"],
+         "answer_reduce_R", "transform_with_builtin", "builtin_with_table", "table_extra"],
 )
 def test_unread_field_refused(files, kind, doc, line):
     # each loaded before, its field ignored: the Magic Square document
-    # evaluated to 1 and oracularize ran with no time budget to use
+    # evaluated to 1, oracularize ran with no time budget to use, the
+    # oracularize document loaded as trivial_2 and the builtin document
+    # as its builtin
     assert check_mutant(files, kind, doc, (), "resize") == [line]

@@ -1,6 +1,7 @@
 """Game model, exact/sampled evaluation, builtin constructions."""
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -333,14 +334,19 @@ class TestTwoOfN:
             two_of_n_ms(1)
 
     def test_nontrivial_pairs_match_predicate(self):
+        # exhaustive over the 202,500 ordered pairs at n = 2
         game, _ = two_of_n_ms(2)
-        from_iter = set(game.nontrivial_pairs())
+        pairs = list(game.nontrivial_pairs())
+        assert len(pairs) == len(set(pairs)) == 10404
         qs = list(game.questions)
-        rng = rng_for("2ofn", 1)
-        for _ in range(3000):
-            q = qs[int(rng.integers(0, len(qs)))]
-            r = qs[int(rng.integers(0, len(qs)))]
-            assert ((q, r) in from_iter) == game.nontrivial(q, r)
+        assert set(pairs) == {(q, r) for q in qs for r in qs if game.rule(q, r) is not None}
+
+    def test_nontrivial_pair_order_pinned(self):
+        # the order value() scores pairs in; sha256 of the list at n = 3
+        pairs = list(two_of_n_ms(3)[0].nontrivial_pairs())
+        assert len(pairs) == 306612
+        digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+        assert digest == "94d19b194da213f0383a62caf5197e38e9d9535342f1ef8704c34015a4daa5f8"
 
     def test_oracularizable_sampled(self):
         game, strategy = two_of_n_ms(2)
@@ -585,9 +591,12 @@ class TestTableGame:
              r"table field 'accept' pair \('z', 'y'\) names a question not in 'questions'"),
             (XY, [("x", "y")], {},
              r"table field 'accept' has no entry for nontrivial pair \('x', 'y'\)"),
+            # this loaded as a trivial pair that always wins
+            (XY, [], {("x", "y"): [(0, 0), (1, 1)]},
+             r"^table field 'accept' pair \('x', 'y'\) is not in 'nontrivial_pairs'$"),
         ],
         ids=["no_answer_list", "unknown_pair_question", "unknown_accept_question",
-             "no_accept_set"],
+             "no_accept_set", "unlisted_accept_pair"],
     )
     def test_malformed_tables_refused(self, answers, listed, accept, message):
         with pytest.raises(ValueError, match=message):

@@ -185,17 +185,26 @@ def test_package_imports_only_exported_names():
     assert unexported_imports(init, exports) == []
 
 
-SETTABLE_DEFAULTS_CEILING = 21
-SRC_LINES_CEILING = 4257
+SETTABLE_DEFAULTS_CEILING = 11
+SRC_LINES_CEILING = 4243
+
+
+def _called_name(node):
+    """The name of a called (or decorating) function, dotted or not."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
-    for deco in cls.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "dataclass":
-            return True
-    return False
+    return any(_called_name(deco) == "dataclass" for deco in cls.decorator_list)
+
+
+def _sets_default(value) -> bool:
+    """A dataclass field's value sets a default, unless it is a field(...)
+    call without default= or default_factory= (such as field(repr=False))."""
+    if isinstance(value, ast.Call) and _called_name(value) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return value is not None
 
 
 def settable_defaults(source: str) -> int:
@@ -207,7 +216,7 @@ def settable_defaults(source: str) -> int:
             a = node.args
             count += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+            count += sum(isinstance(s, ast.AnnAssign) and _sets_default(s.value) for s in node.body)
     return count
 
 
@@ -224,10 +233,14 @@ def test_settable_defaults_counter():
         "@dataclasses.dataclass\n"
         "class Q:\n"
         "    t: float = 1e-9\n"                          # t
+        "    e: list = field(repr=False)\n"             # a marker, no default
+        "    h: dict = dataclasses.field(hash=False)\n"  # a marker, no default
+        "    v: list = field(default_factory=list)\n"   # v
+        "    w: int = field(default=0, repr=False)\n"   # w
         "class R:\n"
         "    u: int = 4\n"                               # not a dataclass
     )
-    assert settable_defaults(source) == 6
+    assert settable_defaults(source) == 8
 
 
 def test_settable_defaults_bounded():

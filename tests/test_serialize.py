@@ -357,7 +357,7 @@ class TestDimacsAndMachines:
         return "\n".join(lines) + "\n"
 
     def test_dimacs_matches_literal_writer(self):
-        cnf = CNF(5, [(1, -2, 3)])
+        cnf = CNF(5, [(1, -2, 3)], None)
         # CNF checks width 3 when built; the writer takes any clause length
         cnf.clauses.extend([(), (-4,), (np.int64(5), np.int32(-1)), (-5, 4, np.int16(-3)), ()])
         text = cnf_to_dimacs(cnf)
