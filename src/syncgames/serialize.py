@@ -301,10 +301,9 @@ def game_from_doc(doc: dict):
 
 
 def report_to_doc(report: EvaluationReport) -> dict:
-    per_pair = {
-        label_key(x) + "|" + label_key(y): p
-        for (x, y), p in report.per_pair.items()
-    }
+    # one label_key per question; a game's questions are distinct under ==
+    keys = {q: label_key(q) for q in {q for pair in report.per_pair for q in pair}}
+    per_pair = {keys[x] + "|" + keys[y]: p for (x, y), p in report.per_pair.items()}
     return {
         "value": report.value,
         "trivial_mass": report.trivial_mass,

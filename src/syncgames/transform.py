@@ -130,17 +130,25 @@ def _designated(game: Game, x, y):
 
 
 def _oracle_terms(game: Game, strategy: SynchronousStrategy, x, y) -> dict:
-    """The oracle player's joint measurement on (x, y): (a, b) -> element.
+    """The nonzero terms of the oracle player's joint measurement on (x, y):
+    (a, b) -> element; an answer pair with no term has element zero.
 
-    On a base-nontrivial pair the elements are M^x_a M^y_b in label order;
-    on a trivial pair the player reports the designated answer pair with
-    the identity and every other pair has no term.
+    On a base-nontrivial pair the terms are the products M^x_a M^y_b that
+    are not zero, in label order.  Each nonzero M^x_a multiplies the stack
+    of nonzero M^y_b in one call, whose slices are the gemm of
+    mx.element(a) @ my.element(b) with its bits.  On a trivial pair the
+    player reports the designated answer pair with the identity.
     """
     if not game.nontrivial(x, y):
         return {_designated(game, x, y): np.eye(strategy.dim, dtype=complex)}
-    mx = strategy.measurement(x)
-    my = strategy.measurement(y)
-    return {(a, b): mx.element(a) @ my.element(b) for a in mx.labels for b in my.labels}
+    mx, my = strategy.measurement(x), strategy.measurement(y)
+    bs = [b for b, f in zip(my.labels, my.elements) if f.any()]
+    ys = np.array([my.element(b) for b in bs])
+    terms = {}
+    for a, e in zip(mx.labels, mx.elements):
+        if e.any():
+            terms.update(((a, b), t) for b, t in zip(bs, e @ ys) if t.any())
+    return terms
 
 
 def _require_oracularizable(game: Game, strategy: SynchronousStrategy) -> None:
@@ -367,8 +375,9 @@ class _ARQuestions:
     enumerated: iteration raises BudgetError.  The decider of pair (x, y)
     runs on a witness holding x's padded encoded answer at cells 1..T and
     y's at T+1..2T, so proof index i <= T is answer bit i of the first
-    player and T < i <= 2T is bit i - T of the second.  Each distinct
-    (machine, witness) runs once per build, shared by every pair's table.
+    player and T < i <= 2T is bit i - T of the second.  A run is made when
+    a lift first reads it, and each distinct (machine, witness) runs once
+    per build, shared by every pair that reads it.
     """
 
     def __init__(self, game: Game, T: int):
@@ -381,7 +390,6 @@ class _ARQuestions:
         self.L = L = TableauLayout(self.machine_for(base[0], base[0]), T, 2 * T).num_vars
         self.n_proof = L + L * L + L**3
         self._len = (n + n * n) * self.n_proof
-        self._pi: dict = {}  # (x, y) -> proof table
         self._runs: dict = {}  # (machine, witness) -> (outcome, proof bits)
         # the time-budget check of the reduction: a synthesized decider
         # halts within the width of the answer it reads, so its run fits
@@ -391,37 +399,21 @@ class _ARQuestions:
             if width > T:
                 raise ValueError(f"answers of {x!r} need {width} bits, above the budget T={T}")
 
-    def padded_codes(self, x) -> tuple[tuple[int, ...], ...]:
-        """Encoded answers of x padded to T bits, in answer order."""
-        return _padded_codes(len(self.game.answers(x)), self.T)
-
     def padded_bits(self, x, a) -> tuple[int, ...]:
-        return self.padded_codes(x)[self.game.answers(x).index(a)]
+        """Encoded answer a of x padded to T bits."""
+        answers = self.game.answers(x)
+        return _padded_codes(len(answers), self.T)[answers.index(a)]
 
-    def proof_table(self, x, y) -> dict:
-        """(a, b) -> (outcome, proof bit tuple) for the run on its witness."""
-        table = self._pi.get((x, y))
-        if table is not None:
-            return table
+    def run(self, x, y, a, b) -> tuple:
+        """(outcome, proof bit tuple) of the decider of (x, y) on the
+        witness of answer pair (a, b)."""
         mach = self.machine_for(x, y)
-        ans_x, ans_y = self.game.answers(x), self.game.answers(y)
-        if self.game.nontrivial(x, y):
-            pairs = itertools.product(range(len(ans_x)), range(len(ans_y)))
-        else:
-            a0, b0 = _designated(self.game, x, y)
-            pairs = [(ans_x.index(a0), ans_y.index(b0))]
-        codes_x, codes_y = self.padded_codes(x), self.padded_codes(y)
-        runs = self._runs
-        table = {}
-        for i, j in pairs:
-            w = codes_x[i] + codes_y[j]
-            run = runs.get((mach, w))
-            if run is None:
-                outcome, asg = tableau_assignment(mach, self.T, w)
-                run = runs[(mach, w)] = (outcome, asg.bits)
-            table[(ans_x[i], ans_y[j])] = run
-        self._pi[(x, y)] = table
-        return table
+        w = self.padded_bits(x, a) + self.padded_bits(y, b)
+        run = self._runs.get((mach, w))
+        if run is None:
+            outcome, asg = tableau_assignment(mach, self.T, w)
+            run = self._runs[(mach, w)] = (outcome, asg.bits)
+        return run
 
     def __len__(self):
         return self._len
@@ -576,12 +568,14 @@ def _lift_reduced(ctx: _ARQuestions, strategy: SynchronousStrategy) -> Synchrono
     """The answer-reduction lift of an oracularizable strategy.
 
     Each question sums the elements of its source measurement (the base
-    measurement of an isolated question, the oracle terms of an oracle
-    pair) into the label of the bits it reads from that element's bit
-    string: the padded encoded answer, or the proof of the answer pair's
-    run.  Indices past a padded answer read 0.  The oracle questions of
-    one pair read its base measurements again and again, so the base is
-    read through a 64-entry cache; the lift itself caches nothing.
+    measurement of an isolated question, the nonzero oracle terms of an
+    oracle pair) into the label of the bits it reads from that element's
+    bit string: the padded encoded answer, or the proof of the answer
+    pair's run, so the decider runs only on answer pairs with a nonzero
+    term.  A label that no element reaches is zero, and indices past a
+    padded answer read 0.  The oracle questions of one pair read its base
+    measurements again and again, so the base is read through a 64-entry
+    cache; the lift itself caches nothing.
     """
     base = functools.lru_cache(maxsize=64)(strategy.measurement)
     strategy = SynchronousStrategy(strategy.dim, base)
@@ -598,9 +592,9 @@ def _lift_reduced(ctx: _ARQuestions, strategy: SynchronousStrategy) -> Synchrono
             m = strategy.measurement(x)
             sources = [(ctx.padded_bits(x, a), e) for a, e in zip(m.labels, m.elements)]
         else:
-            proofs = ctx.proof_table(g[1], g[2])
-            terms = _oracle_terms(ctx.game, strategy, g[1], g[2])
-            sources = [(proofs[ab][1], e) for ab, e in terms.items()]
+            x, y = g[1], g[2]
+            terms = _oracle_terms(ctx.game, strategy, x, y)
+            sources = [(ctx.run(x, y, a, b)[1], e) for (a, b), e in terms.items()]
         sums: dict = {}
         for bits, e in sources:
             lab = bit(bits, p) if isinstance(p, int) else tuple(bit(bits, i) for i in p)

@@ -213,6 +213,22 @@ def per_copy_strategy(n: int, magnitude: float, seed: int) -> SynchronousStrateg
     return SynchronousStrategy(honest.dim, None, factors=factors)
 
 
+def reference_worst_commutator(ev, x, y) -> float:
+    """StrategyEvaluator.worst_commutator one answer of y at a time: the
+    per-answer loop the stacked version must match bit for bit."""
+    fx, fy = ev.form(x), ev.form(y)
+    w = fx.uh @ fy.u
+    worst = 0.0
+    for j in range(len(fy.counts)):
+        if fy.counts[j] == 0:
+            continue
+        wb = w[:, fy.starts[j] : fy.starts[j + 1]]
+        re = fx.group @ (np.abs(wb @ wb.conj().T) ** 2) @ fx.group.T
+        val = (re.sum(axis=1) + re.sum(axis=0) - 2 * np.diag(re)).max() / ev.strategy.dim
+        worst = max(worst, val)
+    return float(np.sqrt(max(worst, 0.0)))
+
+
 def clash_game():
     """Game on {0,1}^2 whose off-diagonal pairs are all nontrivial, with a
     strategy measuring anticommuting bases: never oracularizable."""

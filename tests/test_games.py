@@ -46,6 +46,7 @@ from helpers import (
     per_copy_strategy,
     rebuilt_game,
     recording,
+    reference_worst_commutator,
     rng_for,
     slot_mask,
     two_of_n_reference_mask,
@@ -301,6 +302,22 @@ class TestOracularizability:
         game, strategy = trivial_game(2)
         ok, worst = is_oracularizable(game, strategy)
         assert ok and worst == 0.0
+
+    @pytest.mark.parametrize("make", [two_of_n_ms, question_sampling])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_worst_commutator_matches_per_answer_loop(self, make, perturbed):
+        """The stacked residual has the bits of one answer of y at a time,
+        on 400 evenly spaced off-diagonal pairs."""
+        game, strategy = make(2)
+        if perturbed:
+            strategy = perturb_strategy(strategy, 0.05, 7, list(game.questions))
+        ev = StrategyEvaluator(game, strategy)
+        off = [(x, y) for x, y in game.nontrivial_pairs() if x != y]
+        worst = []
+        for x, y in off[:: len(off) // 400][:400]:
+            worst.append(ev.worst_commutator(x, y))
+            assert worst[-1] == reference_worst_commutator(ev, x, y), (x, y)
+        assert max(worst) > 1e-2 if perturbed else max(worst) < 1e-12
 
     def test_broken_magic_square(self):
         game, strategy = magic_square()

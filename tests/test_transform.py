@@ -39,7 +39,9 @@ from syncgames.transform import (
     lift_oracularize,
     oracularize,
     synthesize_tm_decider,
+    _oracle_terms,
 )
+import syncgames.transform as transform
 
 from helpers import (
     assert_synchronous,
@@ -90,6 +92,18 @@ PINNED_WINS = {
 }
 
 
+# sha256 of the complex128 bytes of every element of each question of
+# reduced_rows(name), row by row, under the lifts of PINNED_WINS
+PINNED_ELEMENTS = {
+    ("consistency_2.ans", "honest"): "aa06c362b429071a2eb76f4373915cc03b731c5b69b2c3e9700eb0a2e25f5437",
+    ("consistency_2.ans", "conjugated"): "90f2c95ca4c2349a19c14a35e9493d8e63fb3589b7ed0dfd8dc72cf453f873f9",
+    ("consistency_2.intro.ans", "honest"): "c9ce81fb24f6dffbf3695dba304faa91bd8649d6d999004986ff121851ae7c41",
+    ("consistency_2.intro.ans", "conjugated"): "c9ce81fb24f6dffbf3695dba304faa91bd8649d6d999004986ff121851ae7c41",
+    ("forbidden_pair_2.ans", "honest"): "af9e4d3c1404c93cffc0e457a236c472220ebdd8f03e7839381806dd3353c3f0",
+    ("forbidden_pair_2.ans", "conjugated"): "3d704e28651c709941b882aad468635a09d628b0fde9ca55a0bb525793cfde52",
+}
+
+
 def reduced_lift(name: str, strategy):
     """Honest lift of a base strategy onto reduced_games()[name]."""
     game = reduced_games()[name]
@@ -97,6 +111,15 @@ def reduced_lift(name: str, strategy):
         return lift_gapless_compress(consistency_game(2)[0], strategy, 8, compressed=game)
     ctx = game.ar_context
     return lift_answer_reduce(ctx.game, strategy, ctx.T, reduced=game)
+
+
+def pinned_lift(name: str, kind: str):
+    """The lift of PINNED_WINS[(name, kind)]."""
+    make = consistency_game if name.startswith("consistency") else forbidden_pair_game
+    strategy = make(2)[1]
+    if kind == "conjugated":
+        strategy = strategy.conjugated(haar_unitary(strategy.dim, rng_for("arwin", name)))
+    return reduced_lift(name, strategy)
 
 
 def index_pairs(game, rng, count: int) -> np.ndarray:
@@ -313,6 +336,54 @@ class TestLiftIntrospection:
             for e in m.elements:
                 digest.update(np.ascontiguousarray(e, dtype=complex).tobytes())
         assert digest.hexdigest() == self.LIFT_DIGESTS[name]
+
+
+class TestOracleTerms:
+    @pytest.mark.parametrize(
+        "make, kind",
+        [
+            (consistency_game, "honest"),
+            (consistency_game, "conjugated"),
+            (forbidden_pair_game, "honest"),
+            (forbidden_pair_game, "conjugated"),
+            (consistency_game, "intro"),
+        ],
+    )
+    def test_terms_are_the_nonzero_products(self, make, kind):
+        """Exactly the zero products M^x_a M^y_b are left out, in label
+        order, and every other term has the bits of the one-pair product."""
+        game, strategy = make(2)
+        if kind == "conjugated":
+            strategy = strategy.conjugated(haar_unitary(strategy.dim, rng_for("orterms", 0)))
+        pairs = [p for p in game.nontrivial_pairs() if p[0] != p[1]]
+        if kind == "intro":
+            game, strategy = introspect(game), lift_introspection(game, strategy)
+            pairs = [p for p in game.nontrivial_pairs() if p[0] != p[1]]
+            picks = rng_for("orterms", 1).integers(0, len(pairs), size=30)
+            pairs = [p for p in pairs if INTRO_SPECIALS[0] in p] + [pairs[int(k)] for k in picks]
+        dropped = 0
+        for x, y in pairs:
+            mx, my = strategy.measurement(x), strategy.measurement(y)
+            full = {(a, b): mx.element(a) @ my.element(b) for a in mx.labels for b in my.labels}
+            terms = _oracle_terms(game, strategy, x, y)
+            assert list(terms) == [ab for ab, e in full.items() if e.any()], (x, y)
+            for ab, e in terms.items():
+                assert e.tobytes() == full[ab].tobytes(), (x, y, ab)
+            dropped += len(full) - len(terms)
+        # conjugating the dimension-2 consistency projections by a Haar
+        # unitary leaves rounding in their products; every other case has
+        # exact zeros
+        assert (dropped > 0) == (strategy.dim != 2 or kind != "conjugated")
+
+    def test_trivial_pair_reports_the_designated_pair(self):
+        base, strategy = forbidden_pair_game(2)
+        game, lifted = introspect(base), lift_introspection(base, strategy)
+        for x, y in (("S_A", "I"), ("I_A", "I_B")):
+            assert not game.nontrivial(x, y)
+            a, b = game.answers(x)[0], game.answers(y)[0]
+            terms = _oracle_terms(game, lifted, x, y)
+            assert list(terms) == [(a, b)]
+            assert np.array_equal(terms[(a, b)], np.eye(lifted.dim))
 
 
 class TestSynthesizedDeciders:
@@ -581,7 +652,7 @@ class TestAnswerReduce:
             {("q", "r"): [(a, a % 2) for a in range(5)]},
         )
         reduced = answer_reduce(wide, 3)
-        assert reduced.ar_context.padded_codes("q")[4] == (1, 0, 0)
+        assert reduced.ar_context.padded_bits("q", 4) == (1, 0, 0)
         with pytest.raises(ValueError, match=r"answers of 'q' need 3 bits, above the budget T=2"):
             answer_reduce(wide, 2)
 
@@ -629,25 +700,26 @@ class TestAnswerReduce:
                 assert hooked.engaged == ref.engaged
 
 
+def answer_pairs(game, x, y) -> list:
+    """Every answer pair of a nontrivial (x, y), else the designated one."""
+    if game.nontrivial(x, y):
+        return list(itertools.product(game.answers(x), game.answers(y)))
+    return [(game.answers(x)[0], game.answers(y)[0])]
+
+
 class TestProofRuns:
-    """Proof tables read runs from one dict per context, keyed on the
-    decider machine and the encoded answer pair."""
+    """Runs are read from one dict per context, keyed on the decider
+    machine and the encoded answer pair."""
 
     @staticmethod
     def check_fresh(ctx, pairs):
-        """Every entry of the pairs' proof tables equals a fresh run."""
-        game = ctx.game
+        """The run of every answer pair of the pairs equals a fresh run."""
         for x, y in pairs:
             mach = ctx.machine_for(x, y)
-            table = ctx.proof_table(x, y)
-            if game.nontrivial(x, y):
-                assert list(table) == list(itertools.product(game.answers(x), game.answers(y)))
-            else:
-                assert list(table) == [(game.answers(x)[0], game.answers(y)[0])]
-            for (a, b), run in table.items():
+            for a, b in answer_pairs(ctx.game, x, y):
                 witness = ctx.padded_bits(x, a) + ctx.padded_bits(y, b)
                 outcome, assignment = tableau_assignment(mach, ctx.T, witness)
-                assert run == (outcome, assignment.bits)
+                assert ctx.run(x, y, a, b) == (outcome, assignment.bits)
 
     @pytest.mark.parametrize("make", [consistency_game, forbidden_pair_game])
     def test_entries_are_fresh_runs(self, make):
@@ -670,14 +742,15 @@ class TestProofRuns:
         self.check_fresh(ctx, pairs)
 
     def test_shared_machine_shares_run_objects(self):
-        """Pairs with the same machine and encoded answers hold the same run
-        object; distinct (machine, witness) keys hold distinct runs."""
+        """Pairs with the same machine and encoded answers get the same run
+        object; distinct (machine, witness) keys get distinct runs."""
         game = forbidden_pair_game(2)[0]
         ctx = answer_reduce(game, 4).ar_context
         by_key, repeats = {}, 0
         for x, y in itertools.product(game.questions, repeat=2):
             mach = ctx.machine_for(x, y)
-            for (a, b), run in ctx.proof_table(x, y).items():
+            for a, b in answer_pairs(game, x, y):
+                run = ctx.run(x, y, a, b)
                 key = (id(mach), ctx.padded_bits(x, a) + ctx.padded_bits(y, b))
                 repeats += key in by_key
                 assert by_key.setdefault(key, run) is run
@@ -685,15 +758,23 @@ class TestProofRuns:
         assert len({id(run) for run in by_key.values()}) == len(by_key)
         assert len(ctx._runs) == len(by_key)
 
-    def test_tables_kept_for_the_build(self):
-        """Every pair's table is built once and handed out again as the
-        same object, however many pairs were asked for since (1,024 here)."""
+    def test_runs_kept_for_the_build(self, monkeypatch):
+        """Every run is made once and handed out again as the same object,
+        however many runs were asked for since (1,024 pairs here)."""
         game = consistency_game(5)[0]
         ctx = answer_reduce(game, 4).ar_context
-        pairs = list(itertools.product(game.questions, repeat=2))
-        first = [ctx.proof_table(x, y) for x, y in pairs]
-        assert all(ctx.proof_table(x, y) is t for (x, y), t in zip(pairs, first))
-        assert len(ctx._pi) == len(pairs)
+        keys = [
+            (x, y, a, b)
+            for x, y in itertools.product(game.questions, repeat=2)
+            for a, b in answer_pairs(game, x, y)
+        ]
+        first = [ctx.run(*key) for key in keys]
+        made = []
+        monkeypatch.setattr(
+            transform, "tableau_assignment", lambda *a: made.append(a) or tableau_assignment(*a)
+        )
+        assert all(ctx.run(*key) is run for key, run in zip(keys, first))
+        assert made == []
 
     def test_new_build_starts_cold(self):
         game, strategy = consistency_game(2)
@@ -702,25 +783,49 @@ class TestProofRuns:
             ctx = used.ar_context
             assert ctx is used.questions
             x, y = next(p for p in ctx.game.nontrivial_pairs() if p[0] != p[1])
-            ctx.proof_table(x, y)
+            ctx.run(x, y, *answer_pairs(ctx.game, x, y)[0])
             assert ctx._runs
             fresh = build()
             assert fresh.ar_context._runs == {}
-            assert len(fresh.ar_context._pi) == 0
+
+    def test_oracle_question_runs_no_zero_term(self):
+        """One oracle question of the honest compressed lift runs the
+        decider on the answer pairs of nonzero products M^x_a M^y_b only."""
+        base, strategy = consistency_game(2)
+        game = gapless_compress(base, 8)
+        ctx = game.ar_context
+        lifted = lift_gapless_compress(base, strategy, 8, compressed=game)
+        intro = lift_introspection(base, strategy)
+        x, y = INTRO_SPECIALS[0], INTRO_SPECIALS[1]  # I against I_A
+        lifted.measurement((("ora", x, y), 1))
+        mach, mx, my = ctx.machine_for(x, y), intro.measurement(x), intro.measurement(y)
+        zero = 0
+        for a, b in answer_pairs(ctx.game, x, y):
+            key = (mach, ctx.padded_bits(x, a) + ctx.padded_bits(y, b))
+            nonzero = (mx.element(a) @ my.element(b)).any()
+            zero += not nonzero
+            assert (key in ctx._runs) == nonzero, (a, b)
+        assert zero > 0
 
 
 class TestLiftAnswerReduce:
     @pytest.mark.parametrize("name, kind", sorted(PINNED_WINS))
     def test_engaged_win_probabilities_pinned(self, name, kind):
-        make = consistency_game if name.startswith("consistency") else forbidden_pair_game
-        strategy = make(2)[1]
-        if kind == "conjugated":
-            strategy = strategy.conjugated(haar_unitary(strategy.dim, rng_for("arwin", name)))
-        ev = StrategyEvaluator(reduced_games()[name], reduced_lift(name, strategy))
+        ev = StrategyEvaluator(reduced_games()[name], pinned_lift(name, kind))
         wins = np.array(
             [ev.win_probability(q1, q2) for q1, q2 in reduced_rows(name)], dtype=np.float64
         )
         assert hashlib.sha256(wins.tobytes()).hexdigest() == PINNED_WINS[(name, kind)]
+
+    @pytest.mark.parametrize("name, kind", sorted(PINNED_ELEMENTS))
+    def test_engaged_elements_pinned(self, name, kind):
+        lifted = pinned_lift(name, kind)
+        digest = hashlib.sha256()
+        for row in reduced_rows(name):
+            for q in row:
+                for e in lifted.measurement(q).elements:
+                    digest.update(np.ascontiguousarray(e, dtype=complex).tobytes())
+        assert digest.hexdigest() == PINNED_ELEMENTS[(name, kind)]
 
     def test_rejects_non_oracularizable(self):
         game, strategy = clash_game()
@@ -801,7 +906,7 @@ class TestLiftAnswerReduce:
             if (x, y) not in compiled:
                 compiled[(x, y)] = compile_cnf(ctx.machine_for(x, y), T, 2 * T)
             cnf = compiled[(x, y)]
-            _, proof = ctx.proof_table(x, y)[(a, b)]
+            _, proof = ctx.run(x, y, a, b)
             expected = 1.0
             for clause in cnf.clauses:
                 vs = {abs(l) for l in clause}
