@@ -6,14 +6,17 @@ operators; binary questions get the exact eigenspace update, multi-outcome
 questions a greedy spectral assignment.  Updates are kept only when they
 do not decrease the local objective, so the value trace is monotone.
 
-A multi-outcome update holds each answer's range as an orthonormal
-column block (a frame) while it is polished: two answers' frames side by
-side are an orthonormal basis of their joint range, so re-splitting the
-pair needs one eigh of the compressed difference, a sign test when the
-joint range is one column and nothing when it is empty.  Dense
-projectors are formed once, after the polish.  Each seesaw call reads
-the game's accept masks once into a table (question -> nontrivial
-partners and float masks) that every sweep's gradients read.
+Each question's measurement is held for the whole run as one
+orthonormal column block (a frame) per answer, together its eigenbasis.
+A multi-outcome update polishes the frames pairwise: two answers' frames
+side by side are an orthonormal basis of their joint range, so
+re-splitting the pair needs one eigh of the compressed difference, a
+sign test when the joint range is one column and nothing when it is
+empty.  Projectors are formed once per update, as one (answers, d, d)
+stack.  Sweeps are scored from the frames with games._gram, and value()
+runs once per seesaw call, on the returned strategy.  The game's accept
+masks are read once per call into a table (question -> nontrivial
+partners and float masks) that every sweep reads.
 
 classical_value is an exact branch-and-bound over deterministic
 synchronous strategies (dimension-1 projective assignments).
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Measurement, tau_norm
-from .games import Game, SynchronousStrategy, value
+from .games import Game, SynchronousStrategy, _gram, _group_matrix, value
 
 __all__ = [
     "SeesawConfig",
@@ -59,21 +62,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def _balanced_ranks(num_answers: int, dim: int) -> list[int]:
-    base, extra = divmod(dim, num_answers)
-    return [base + (1 if i < extra else 0) for i in range(num_answers)]
-
-
-def _random_projective(num_answers: int, dim: int, rng) -> list[np.ndarray]:
+def _random_frames(num_answers: int, dim: int, rng) -> list[np.ndarray]:
+    """Column blocks of one Haar unitary, one frame per answer, whose
+    widths differ by at most one, the wider first."""
     u = haar_unitary(dim, rng)
-    ranks = _balanced_ranks(num_answers, dim)
-    out = []
-    col = 0
-    for r in ranks:
-        block = u[:, col : col + r]
-        out.append(block @ block.conj().T)
-        col += r
-    return out
+    base, extra = divmod(dim, num_answers)
+    bounds = [i * base + min(i, extra) for i in range(num_answers + 1)]
+    return [u[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _mask_table(game: Game, questions) -> dict:
@@ -92,52 +87,52 @@ def _mask_table(game: Game, questions) -> dict:
     return table
 
 
-def _coefficients(game: Game, x, measurements: dict, table: dict) -> list[np.ndarray]:
+def _coefficients(game: Game, x, measurements: dict, table: dict) -> np.ndarray:
     """Hermitian gradient operators C^x_a of the value in question x.
 
-    table is the see-saw's mask table (one entry per question).  Diagonal
-    terms are omitted: for projective updates they contribute a constant,
-    and every off-diagonal pair appears twice by symmetry of the decision
-    predicate.
+    measurements and the result are (answers, d, d) projector stacks;
+    table is the see-saw's mask table.  Diagonal terms are omitted: for
+    projective updates they contribute a constant, and every off-diagonal
+    pair appears twice by symmetry of the decision predicate.
     """
     dim = next(iter(measurements.values()))[0].shape[0]
     coeff = np.zeros((len(game.answers(x)), dim, dim), dtype=complex)
     scale = 2.0 / len(table) ** 2
     for y, mask in table[x]:
-        coeff += scale * np.tensordot(mask, np.stack(measurements[y]), axes=(1, 0))
-    return [(c + c.conj().T) / 2 for c in coeff]
+        coeff += scale * np.tensordot(mask, measurements[y], axes=(1, 0))
+    return (coeff + coeff.conj().transpose(0, 2, 1)) / 2
 
 
 def _local_objective(elements, coeff) -> float:
-    return float(
-        sum(np.trace(e @ c).real for e, c in zip(elements, coeff))
-    )
+    """sum_a tr(E_a C_a) for Hermitian C_a, read as sum_a <C_a, E_a>."""
+    return float(np.vdot(coeff, elements).real)
 
 
-def _binary_update(coeff) -> list[np.ndarray]:
-    """Exact optimum over binary projective measurements."""
-    diff = coeff[0] - coeff[1]
-    w, v = np.linalg.eigh(diff)
-    keep = v[:, w >= 0]
-    p0 = keep @ keep.conj().T
-    eye = np.eye(diff.shape[0], dtype=complex)
-    return [p0, eye - p0]
+def _update(coeff) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One question's see-saw update as (projector stack, frames).
 
-
-def _greedy_update(coeff) -> list[np.ndarray]:
-    """Greedy spectral assignment for multi-outcome questions.
-
-    Diagonalizes a weighted pencil of the coefficient operators, assigns
-    each eigenvector to the answer with the largest Rayleigh quotient,
-    then polishes the answers' frames with exact two-answer splits;
-    heuristic, guarded by the caller.
+    A binary question gets the exact optimum, the nonnegative eigenspace
+    of C_0 - C_1 and its complement.  A multi-outcome question assigns
+    each eigenvector of a weighted pencil of the coefficient operators to
+    the answer with the largest Rayleigh quotient, then polishes the
+    frames with exact two-answer splits; heuristic, guarded by the caller.
     """
+    if len(coeff) == 2:
+        w, v = np.linalg.eigh(coeff[0] - coeff[1])
+        frames = [v[:, w >= 0], v[:, w < 0]]
+        p0 = frames[0] @ frames[0].conj().T
+        return np.array([p0, np.eye(len(p0), dtype=complex) - p0]), frames
     pencil = sum((k + 1) * c for k, c in enumerate(coeff))
     _, v = np.linalg.eigh(pencil)
     scores = np.stack([((v.conj().T @ c) * v.T).sum(axis=1).real for c in coeff])
     assignment = scores.argmax(axis=0)
     frames = _pairwise_polish([v[:, assignment == a] for a in range(len(coeff))], coeff)
-    return [f @ f.conj().T for f in frames]
+    return np.array([f @ f.conj().T for f in frames]), frames
+
+
+def _greedy_update(coeff) -> np.ndarray:
+    """Projectors of the greedy update of a multi-outcome question."""
+    return _update(coeff)[0]
 
 
 def _pairwise_polish(frames, coeff) -> list[np.ndarray]:
@@ -147,34 +142,70 @@ def _pairwise_polish(frames, coeff) -> list[np.ndarray]:
     the frames of different answers are orthogonal, so two frames side by
     side are an orthonormal basis of the pair's joint range.  There the
     objective is a binary problem, solved exactly by the nonnegative
-    eigenspace of the compressed difference (a sign test when the joint
-    range is one column; nothing to do when it is empty).  Iterating over
-    pairs is monotone coordinate ascent, run for three rounds.
+    eigenspace of the compressed difference (nothing to do when the joint
+    range is empty).  When it is one column b, b moves unchanged by the
+    sign of b^H C_i b - b^H C_j b, from its Rayleigh quotients over every
+    answer, kept until an eigh split rotates b; within 1e-10 max|C| of a
+    tie the sign of b^H (C_i - C_j) b decides, as its eigh would.
+    Iterating over pairs is monotone coordinate ascent, for three rounds.
     """
     frames = list(frames)
+    stack = np.asarray(coeff)
+    tie = 1e-10 * np.abs(stack).max()
     m = len(frames)
+    quotients = [None] * m  # b^H C_a b over every a, for a one-column frame b
     for _ in range(3):
         for i in range(m):
             for j in range(i + 1, m):
-                if frames[i].shape[1] + frames[j].shape[1] == 0:
+                width = frames[i].shape[1] + frames[j].shape[1]
+                if width == 0:
+                    continue
+                if width == 1:
+                    src = i if frames[i].shape[1] else j
+                    b, q = frames[src], quotients[src]
+                    if q is None:
+                        q = (b.conj().T @ stack @ b).real.ravel()
+                    gap = q[i] - q[j]
+                    if abs(gap) <= tie:  # roundoff may decide: ask the compressed difference
+                        gap = (b.conj().T @ (coeff[i] - coeff[j]) @ b)[0, 0].real
+                    dst = i if gap >= 0 else j
+                    frames[src], quotients[src] = b[:, :0], None
+                    frames[dst], quotients[dst] = b, q
                     continue
                 basis = np.concatenate((frames[i], frames[j]), axis=1)
                 diff = basis.conj().T @ (coeff[i] - coeff[j]) @ basis
-                if basis.shape[1] == 1:
-                    keep = int(diff[0, 0].real >= 0)
-                    frames[i], frames[j] = basis[:, :keep], basis[:, keep:]
-                    continue
                 dw, dv = np.linalg.eigh((diff + diff.conj().T) / 2)
                 frames[i] = basis @ dv[:, dw >= 0]
                 frames[j] = basis @ dv[:, dw < 0]
+                quotients[i] = quotients[j] = None
     return frames
+
+
+def _frame_score(frames: dict, table: dict, dim: int) -> float:
+    """Value of the strategy measuring each question x in the eigenbasis
+    its frames[x] form, from games._gram.  A diagonal pair of projective
+    measurements wins with probability 1, as does a trivial pair."""
+    bases = {
+        x: (np.concatenate(fs, axis=1), _group_matrix(tuple(f.shape[1] for f in fs)))
+        for x, fs in frames.items()
+    }
+    n = len(table)
+    wins = n * n - sum(len(row) for row in table.values())
+    for x, row in table.items():
+        u, g = bases[x]
+        uh = u.conj().T
+        for y, mask in row:
+            uy, gy = bases[y]
+            wins += (_gram(uh, uy, g, gy.T, dim) * mask).sum()
+    return float(wins) / (n * n)
 
 
 def seesaw(game: Game, cfg: SeesawConfig):
     """Alternating maximization of the value over projective measurements.
 
     Returns (best strategy, its exact value, trace) where trace lists
-    (restart, iteration, value) rows, nondecreasing within each restart.
+    (restart, iteration, value) rows, nondecreasing within each restart,
+    scored from the frames; the exact value must agree with them.
     """
     questions = list(game.questions)
     table = _mask_table(game, questions)
@@ -183,25 +214,18 @@ def seesaw(game: Game, cfg: SeesawConfig):
     trace = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
-        meas = {
-            x: _random_projective(len(game.answers(x)), cfg.dim, rng)
-            for x in questions
-        }
-        current = value(game, _as_strategy(game, meas, cfg.dim)).value
+        frames = {x: _random_frames(len(game.answers(x)), cfg.dim, rng) for x in questions}
+        meas = {x: np.array([f @ f.conj().T for f in fs]) for x, fs in frames.items()}
+        current = _frame_score(frames, table, cfg.dim)
         trace.append((restart, 0, current))
         for it in range(1, cfg.max_iters + 1):
             for x in questions:
                 coeff = _coefficients(game, x, meas, table)
-                old = meas[x]
-                new = (
-                    _binary_update(coeff)
-                    if len(coeff) == 2
-                    else _greedy_update(coeff)
-                )
+                new, new_frames = _update(coeff)
                 # keep the update only if the linear objective does not drop
-                if _local_objective(new, coeff) >= _local_objective(old, coeff) - 1e-14:
-                    meas[x] = new
-            updated = value(game, _as_strategy(game, meas, cfg.dim)).value
+                if _local_objective(new, coeff) >= _local_objective(meas[x], coeff) - 1e-14:
+                    meas[x], frames[x] = new, new_frames
+            updated = _frame_score(frames, table, cfg.dim)
             trace.append((restart, it, updated))
             if updated <= current + cfg.improvement_tol:
                 current = max(current, updated)
@@ -209,7 +233,7 @@ def seesaw(game: Game, cfg: SeesawConfig):
             current = updated
         if current > best_value + 1e-15:
             best_value = current
-            best_strategy = {x: [e.copy() for e in els] for x, els in meas.items()}
+            best_strategy = {x: els.copy() for x, els in meas.items()}
     strategy = _as_strategy(game, best_strategy, cfg.dim)
     exact = value(game, strategy).value
     if abs(exact - best_value) > 1e-10:

@@ -5,17 +5,21 @@ import itertools
 import numpy as np
 import pytest
 
+from syncgames import games
 from syncgames.algebra import closeness
 from syncgames.builtins import MS_EQUATIONS, MS_QUESTIONS, consistency_game, magic_square
 from syncgames.games import table_game, value
 from syncgames.optimize import (
     SeesawConfig,
-    _binary_update,
+    _as_strategy,
     _coefficients,
+    _frame_score,
     _greedy_update,
     _local_objective,
     _mask_table,
     _pairwise_polish,
+    _random_frames,
+    _update,
     classical_value,
     haar_unitary,
     perturb_strategy,
@@ -66,9 +70,9 @@ class TestSeesawCost:
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_eigh_calls_bounded(self, monkeypatch, dim, seed):
-        """One sweep on Magic Square stays within 300 eigh calls: empty
-        answer pairs cost none, and frames need none for a pair's joint
-        support."""
+        """One sweep on Magic Square stays within 200 eigh calls (at most
+        183 measured): empty answer pairs cost none, frames need none for
+        a pair's joint support, and the exact value runs once."""
         eigh = np.linalg.eigh
         calls = []
 
@@ -79,7 +83,66 @@ class TestSeesawCost:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         game, _ = magic_square()
         seesaw(game, SeesawConfig(dim, restarts=1, max_iters=1, seed=seed))
-        assert len(calls) <= 300
+        assert len(calls) <= 200
+
+    @pytest.mark.parametrize("max_iters", [1, 10])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_one_exact_evaluation_per_call(self, monkeypatch, max_iters, restarts):
+        """Sweeps are scored from the frames, so the only eigenbasis forms
+        are those of the one exact value of the returned strategy."""
+        init = games._EigenForm.__init__
+        builds = []
+
+        def counted(form, *args):
+            builds.append(1)
+            init(form, *args)
+
+        monkeypatch.setattr(games._EigenForm, "__init__", counted)
+        game, _ = magic_square()
+        seesaw(game, SeesawConfig(4, restarts=restarts, max_iters=max_iters, seed=1))
+        assert len(builds) == len(game.questions)
+
+
+def small_table_game():
+    return table_game(
+        "toy",
+        ["x", "y", "z"],
+        {"x": (0, 1, 2), "y": (0, 1), "z": (0, 1, 2, 3)},
+        [("x", "y"), ("y", "z"), ("x", "z")],
+        {
+            ("x", "y"): [(0, 1), (1, 0), (2, 1)],
+            ("y", "z"): [(0, 0), (1, 3), (1, 2)],
+            ("x", "z"): [(0, 0), (1, 1), (2, 2), (2, 3)],
+        },
+    )
+
+
+class TestFrameScore:
+    @pytest.mark.parametrize(
+        "build, dim",
+        [(magic_square, 2), (magic_square, 3), (magic_square, 4),
+         (lambda: consistency_game(2), 3), (lambda: (small_table_game(), None), 3)],
+        ids=["magic_square-2", "magic_square-3", "magic_square-4", "consistency_2-3", "table-3"],
+    )
+    def test_matches_exact_value(self, build, dim):
+        """The score from the frames of random measurements, and of the
+        binary and greedy updates made from their coefficients, is the
+        exact value."""
+        game, _ = build()
+        questions = list(game.questions)
+        table = _mask_table(game, questions)
+        rng = rng_for("frame_score", game.name, dim)
+        frames = {x: _random_frames(len(game.answers(x)), dim, rng) for x in questions}
+        meas = {x: np.array([f @ f.conj().T for f in fs]) for x, fs in frames.items()}
+
+        def check():
+            exact = value(game, _as_strategy(game, meas, dim)).value
+            assert abs(_frame_score(frames, table, dim) - exact) <= 1e-12
+
+        check()
+        for x in questions:
+            meas[x], frames[x] = _update(_coefficients(game, x, meas, table))
+            check()
 
 
 def per_pair_coefficients(game, x, measurements, questions):
@@ -176,6 +239,29 @@ class TestFramePolish:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+class TestOneColumnTies:
+    def test_near_tie_split_matches_eigh(self):
+        """C_i = (A + B) + D and C_j = A + (B + D) are equal up to roundoff.
+        The one-column split still follows eigh of the compressed
+        difference b^H (C_i - C_j) b, whose sign the Rayleigh quotients
+        b^H C_i b and b^H C_j b often get the other way."""
+        disagreements = 0
+        for k in range(40):
+            rng = rng_for("near_tie", k)
+            b = haar_unitary(3, rng)[:, :1]
+            a, bb, c = (random_hermitian(3, rng) for _ in range(3))
+            coeff = [(a + bb) + c, a + (bb + c)]
+            diff = b.conj().T @ (coeff[0] - coeff[1]) @ b
+            dw, dv = np.linalg.eigh((diff + diff.conj().T) / 2)
+            keep = b @ dv[:, dw >= 0]
+            q = [(b.conj().T @ cc @ b)[0, 0].real for cc in coeff]
+            disagreements += (q[0] - q[1] >= 0) != (dw[0] >= 0)
+            for start in ([b, b[:, :0]], [b[:, :0], b]):
+                frames = _pairwise_polish(start, coeff)
+                assert np.array_equal(frames[0] @ frames[0].conj().T, keep @ keep.conj().T)
+        assert disagreements > 0
+
+
 class TestBinaryUpdateOptimality:
     def test_against_rotation_sweep(self):
         # dimension-2 oracle: rank-1 projector family over a fine grid of
@@ -186,7 +272,7 @@ class TestBinaryUpdateOptimality:
             c0 = c0 + c0.conj().T
             c1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             c1 = c1 + c1.conj().T
-            updated = _binary_update([c0, c1])
+            updated, _ = _update([c0, c1])
             achieved = np.trace(updated[0] @ c0).real + np.trace(updated[1] @ c1).real
             eye = np.eye(2)
             best = max(
