@@ -38,9 +38,17 @@ observable, normalized, integer eigenvalues, zero commutator."""
 
 def _as_operator(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
         raise ValueError(f"operator must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    return _square_and_finite(a)
+
+
+def _square_and_finite(a: np.ndarray) -> np.ndarray:
+    """a, one complex matrix or a stack of them, once every matrix is
+    checked square and finite."""
+    if a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"operator must be a square matrix, got shape {a.shape[-2:]}")
+    if not np.isfinite(a).all():
         raise ValueError("operator entries must be finite")
     return a
 
@@ -53,15 +61,6 @@ def tau_norm(a: np.ndarray) -> float:
 
 def _hermitian_defect(a: np.ndarray) -> float:
     return np.abs(a - a.conj().T).max()
-
-
-def _projection_defect(a: np.ndarray) -> float:
-    return max(_hermitian_defect(a), np.abs(a @ a - a).max())
-
-
-def _psd_defect(a: np.ndarray) -> float:
-    """Hermitian defect or the depth of the smallest eigenvalue below zero."""
-    return max(_hermitian_defect(a), -np.linalg.eigvalsh(a).min())
 
 
 def is_observable(a: np.ndarray) -> bool:
@@ -77,7 +76,9 @@ class Measurement:
 
     kind is one of "povm", "projective", "general"; validity of the first
     two is checked by validate(), "general" carries no constraint and is
-    used for the operator-set distance lemmas.
+    used for the operator-set distance lemmas.  elements is a list of
+    operators or one (outcomes, d, d) ndarray stack, which is kept as the
+    stack and checked as one array.
     """
 
     labels: tuple
@@ -86,13 +87,15 @@ class Measurement:
 
     def __post_init__(self):
         self.labels = tuple(self.labels)
-        self.elements = [_as_operator(e) for e in self.elements]
+        if isinstance(self.elements, np.ndarray) and self.elements.ndim == 3:
+            self.elements = _square_and_finite(self.elements.astype(complex, copy=False))
+        else:
+            self.elements = [_as_operator(e) for e in self.elements]
         if len(self.labels) != len(self.elements):
             raise ValueError("one element per label required")
-        if not self.elements:
+        if not len(self.elements):
             raise ValueError("measurement needs at least one outcome")
-        dims = {e.shape[0] for e in self.elements}
-        if len(dims) != 1:
+        if isinstance(self.elements, list) and len({e.shape[0] for e in self.elements}) != 1:
             raise ValueError("all elements must share one dimension")
         if self.kind not in ("povm", "projective", "general"):
             raise ValueError(f"unknown measurement kind {self.kind!r}")
@@ -109,6 +112,15 @@ class Measurement:
     def sum(self) -> np.ndarray:
         return np.sum(self.elements, axis=0)
 
+    def conjugated(self, u: np.ndarray) -> "Measurement":
+        """The family u M_a u^H, as one stacked product over the nonzero
+        elements; an exactly zero element stays +0."""
+        s = np.asarray(self.elements)
+        nonzero = s.any(axis=(1, 2))
+        out = np.zeros_like(s)
+        out[nonzero] = u @ s[nonzero] @ u.conj().T
+        return Measurement(self.labels, out, kind=self.kind)
+
     def validate(self) -> None:
         """Raise ValueError if the elements violate the declared kind
         within DEFAULT_TOL; each message opens with what the family is not."""
@@ -116,13 +128,17 @@ class Measurement:
             return
         if np.abs(self.sum() - np.eye(self.dim)).max() > DEFAULT_TOL:
             raise ValueError("not normalized: its elements do not sum to the identity")
+        s = np.asarray(self.elements)
+        defect = np.abs(s - s.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         if self.kind == "projective":
-            defect, problem = _projection_defect, "not projective: element {!r} is not a projection"
-        else:
-            defect, problem = _psd_defect, "not a POVM: element {!r} is not PSD"
-        for lab, e in zip(self.labels, self.elements):
-            if defect(e) > DEFAULT_TOL:
-                raise ValueError(problem.format(lab))
+            defect = np.maximum(defect, np.abs(s @ s - s).max(axis=(1, 2)))
+            problem = "not projective: element {!r} is not a projection"
+        else:  # the depth of the smallest eigenvalue below zero
+            defect = np.maximum(defect, -np.linalg.eigvalsh(s).min(axis=1))
+            problem = "not a POVM: element {!r} is not PSD"
+        bad = np.flatnonzero(defect > DEFAULT_TOL)
+        if bad.size:
+            raise ValueError(problem.format(self.labels[bad[0]]))
 
 
 def _check_compatible(m: Measurement, n: Measurement) -> None:

@@ -195,14 +195,17 @@ def _identity_part(dim: int) -> Measurement:
 
 
 def _kron_measurement(parts, index: dict) -> Measurement:
-    """Dense form of a factored measurement (see SynchronousStrategy)."""
-    elements = []
-    for row in index.values():
-        out = np.ones((1, 1), dtype=complex)
-        for part, label in zip(parts, row):
-            out = _kron2(out, part.element(label))
-        elements.append(out)
-    return Measurement(tuple(index), elements, kind="projective")
+    """Dense form of a factored measurement (see SynchronousStrategy): one
+    (answers, d, d) stack, grown by one broadcast product per part over the
+    stack of every answer's element of that part, so each answer's element
+    is the left-to-right _kron2 chain of its parts, bit for bit."""
+    rows = list(index.values())
+    out = np.ones((len(rows), 1, 1), dtype=complex)
+    for k, part in enumerate(parts):
+        b = np.asarray(part.elements)[[part.labels.index(row[k]) for row in rows]]
+        na, nb = out.shape[1], b.shape[1]
+        out = (out[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, na * nb, na * nb)
+    return Measurement(tuple(index), out, kind="projective")
 
 
 class SynchronousStrategy:
@@ -257,11 +260,7 @@ class SynchronousStrategy:
         """Conjugate every measurement by one fixed unitary."""
         if self._table is None:
             raise ValueError("conjugation requires a materialized strategy")
-        uh = u.conj().T
-        table = {
-            x: Measurement(m.labels, [u @ e @ uh for e in m.elements], kind=m.kind)
-            for x, m in self._table.items()
-        }
+        table = {x: m.conjugated(u) for x, m in self._table.items()}
         return SynchronousStrategy(self.dim, table)
 
 

@@ -322,8 +322,9 @@ def perturb_strategy(
     """Conjugate each question's measurement by exp(i * magnitude * H).
 
     H is an independent random Hermitian of unit tau-norm per question,
-    drawn from its position in questions (the game's question list);
-    projectivity and completeness are preserved exactly.
+    drawn from its position in questions (the game's question list).
+    Projectivity and completeness hold within the rounding of the d x d
+    products, not exactly; an exactly zero element stays +0.
     """
     if magnitude < 0:
         raise ValueError("magnitude must be non-negative")
@@ -341,8 +342,5 @@ def perturb_strategy(
         h /= tau_norm(h)
         w, v = np.linalg.eigh(h)
         u = (v * np.exp(1j * magnitude * w)) @ v.conj().T
-        uh = u.conj().T
-        table[x] = Measurement(
-            m.labels, [u @ e @ uh for e in m.elements], kind=m.kind
-        )
+        table[x] = m.conjugated(u)
     return SynchronousStrategy(strategy.dim, table)

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import zlib
 
 import numpy as np
 
-from syncgames.algebra import Measurement, bitstrings
+from syncgames.algebra import Measurement, bitstrings, tau_norm
 from syncgames.builtins import MS_QUESTIONS, _MS_ANSWERS, _MS_MASKS, magic_square, two_of_n_ms
 from syncgames.cooklevin import CNF, Assignment
-from syncgames.games import Game, SynchronousStrategy
+from syncgames.games import Game, SynchronousStrategy, _kron2
 from syncgames.optimize import haar_unitary, perturb_strategy
 
 
@@ -211,6 +212,54 @@ def per_copy_strategy(n: int, magnitude: float, seed: int) -> SynchronousStrateg
         return parts, index
 
     return SynchronousStrategy(honest.dim, None, factors=factors)
+
+
+def reference_kron_elements(parts, index) -> list[np.ndarray]:
+    """Dense elements of a factored measurement one answer at a time, each
+    the left-to-right _kron2 chain of its parts: the per-element path the
+    stacked product must match byte for byte."""
+    elements = []
+    for row in index.values():
+        out = np.ones((1, 1), dtype=complex)
+        for part, label in zip(parts, row):
+            out = _kron2(out, part.element(label))
+        elements.append(out)
+    return elements
+
+
+def reference_elements(strategy, x) -> list[np.ndarray]:
+    """x's dense elements, factored ones through reference_kron_elements."""
+    spec = None if strategy.factors is None else strategy.factors(x)
+    if spec is None:
+        return list(strategy.measurement(x).elements)
+    return reference_kron_elements(*spec)
+
+
+def reference_conjugated(elements, u) -> list[np.ndarray]:
+    """u E u^H with two products per element, zero elements included."""
+    uh = u.conj().T
+    return [u @ e @ uh for e in elements]
+
+
+def reference_perturbed(strategy, magnitude: float, seed: int, questions) -> dict:
+    """perturb_strategy one element at a time: {question: elements}."""
+    out = {}
+    for idx, x in enumerate(questions):
+        rng = np.random.default_rng([seed, idx])
+        z = rng.standard_normal((strategy.dim, strategy.dim)) + 1j * rng.standard_normal(
+            (strategy.dim, strategy.dim)
+        )
+        h = (z + z.conj().T) / 2
+        h /= tau_norm(h)
+        w, v = np.linalg.eigh(h)
+        u = (v * np.exp(1j * magnitude * w)) @ v.conj().T
+        out[x] = reference_conjugated(reference_elements(strategy, x), u)
+    return out
+
+
+def element_digests(elements) -> list[str]:
+    """sha256 of each element's bytes: signed zeros count."""
+    return [hashlib.sha256(np.ascontiguousarray(e).tobytes()).hexdigest() for e in elements]
 
 
 def reference_worst_commutator(ev, x, y) -> float:

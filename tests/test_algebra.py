@@ -43,6 +43,65 @@ class TestTauNorm:
             tau_norm(np.zeros((2, 3)))
 
 
+class TestMeasurementStack:
+    """An (outcomes, d, d) ndarray is checked as one stack, with the texts
+    and the first failing label of the per-element list path."""
+
+    def _both(self, elements, kind="general"):
+        """The messages a list and a stack of elements are refused with."""
+        texts = []
+        for family in (list(elements), np.asarray(elements)):
+            with pytest.raises(ValueError) as err:
+                Measurement(tuple(range(len(elements))), family, kind=kind).validate()
+            texts.append(str(err.value))
+        return texts
+
+    def test_non_finite_refused(self):
+        elements = np.zeros((3, 2, 2), dtype=complex)
+        elements[1, 0, 1] = np.nan
+        assert self._both(elements) == ["operator entries must be finite"] * 2
+        elements[1, 0, 1] = np.inf
+        assert self._both(elements) == ["operator entries must be finite"] * 2
+
+    def test_non_square_refused(self):
+        texts = self._both(np.zeros((2, 2, 3)))
+        assert texts == ["operator must be a square matrix, got shape (2, 3)"] * 2
+
+    def test_ragged_list_refused(self):
+        with pytest.raises(ValueError, match="all elements must share one dimension"):
+            Measurement((0, 1), [np.eye(2), np.zeros((3, 3))], kind="general")
+
+    def test_label_count_and_empty_refused(self):
+        with pytest.raises(ValueError, match="one element per label required"):
+            Measurement((0,), np.zeros((2, 2, 2)), kind="general")
+        with pytest.raises(ValueError, match="at least one outcome"):
+            Measurement((), np.zeros((0, 2, 2)), kind="general")
+
+    def test_stack_kept(self):
+        stack = np.asarray(random_projective(4, 3, rng_for("stack-kept")).elements)
+        m = Measurement((0, 1, 2), stack, kind="projective")
+        assert m.elements is stack and m.dim == 4
+        m.validate()
+
+    @pytest.mark.parametrize("kind", ["projective", "povm"])
+    def test_validate_names_the_first_failing_label(self, kind):
+        """Two bad elements that keep the sum: a list and a stack name the
+        same first one, with the same text, for each way to be bad."""
+        make = random_projective if kind == "projective" else random_povm
+        for trial in range(6):
+            rng = rng_for("first-failing", kind, trial)
+            elements = list(make(3, 4, rng).elements)
+            i, j = sorted(int(k) for k in rng.choice(4, size=2, replace=False))
+            if trial % 2:  # Hermitian defect
+                h = 1e-3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+            else:  # a Hermitian shift: not idempotent, or with a negative eigenvalue
+                h = -0.3 * np.eye(3)
+            elements[i], elements[j] = elements[i] + h, elements[j] - h
+            texts = self._both(elements, kind)
+            assert texts[0] == texts[1]
+            assert texts[0].endswith(f"element {i!r} is not " + ("a projection" if kind == "projective" else "PSD"))
+
+
 class TestCloseness:
     def test_self_distance(self):
         m = random_povm(4, 3, rng_for("close", 0))

@@ -43,9 +43,13 @@ import syncgames.games as games
 from helpers import (
     assert_synchronous,
     clash_game,
+    element_digests,
     per_copy_strategy,
     rebuilt_game,
     recording,
+    reference_conjugated,
+    reference_kron_elements,
+    reference_perturbed,
     reference_worst_commutator,
     rng_for,
     slot_mask,
@@ -685,6 +689,9 @@ class TestFactoredStrategies:
             for row, element in zip(index.values(), m.elements):
                 product = functools.reduce(np.kron, [p.element(a) for p, a in zip(parts, row)])
                 assert np.array_equal(product, element), (q, row)
+            # np.array_equal ignores signed zeros: the bytes must match too
+            reference = reference_kron_elements(parts, index)
+            assert element_digests(m.elements) == element_digests(reference), q
             checked += 1
         assert checked >= 30
 
@@ -820,6 +827,47 @@ STACKED = {
     "magic_square.orac": _oracularized_magic_square,
     **{name: functools.partial(factored, name) for name in FACTORED},
 }
+
+
+def assert_zero_elements_positive(elements) -> int:
+    """Every exactly zero element is +0 throughout; returns their count."""
+    zeros = [e for e in elements if not e.any()]
+    assert all(not np.signbit(e.view(float)).any() for e in zeros)
+    return len(zeros)
+
+
+class TestDenseBytes:
+    """perturb_strategy and conjugated conjugate a question's nonzero
+    elements as one stack; every element keeps the bytes of the
+    per-element path, signed zeros included, and a zero one stays +0."""
+
+    @pytest.mark.parametrize("name", FACTORED)
+    def test_perturbed_elements_keep_their_bytes(self, name):
+        game, honest = factored(name)
+        qs = list(game.questions)
+        out = perturb_strategy(honest, 0.05, 7, qs)
+        reference = reference_perturbed(honest, 0.05, 7, qs)
+        zeros = 0
+        for x in qs:
+            elements = out.measurement(x).elements
+            assert element_digests(elements) == element_digests(reference[x]), x
+            zeros += assert_zero_elements_positive(elements)
+        assert zeros > 5000  # the product answers no copy's rule admits
+
+    @pytest.mark.parametrize("name", ["consistency_2", "consistency_2.intro"])
+    def test_conjugated_elements_keep_their_bytes(self, name):
+        if name == "consistency_2":
+            game, strategy = consistency_game(2)
+        else:
+            game, lift = factored(name)
+            strategy = SynchronousStrategy(lift.dim, {x: lift.measurement(x) for x in game.questions})
+        u = haar_unitary(strategy.dim, rng_for("conjugated-bytes", name))
+        out = strategy.conjugated(u)
+        for x in game.questions:
+            elements = out.measurement(x).elements
+            reference = reference_conjugated(strategy.measurement(x).elements, u)
+            assert element_digests(elements) == element_digests(reference), x
+            assert_zero_elements_positive(elements)
 
 
 class TestStackedEvaluation:
