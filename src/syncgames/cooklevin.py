@@ -12,14 +12,17 @@ literal, so the output is plain 3SAT.
 
 Clause generation enumerates each clause family once, keyed on a kind
 of variable that every clause of the family contains.  compile_cnf keys
-on every variable of the kind; clause_access keys on the queried ones
-only, so it never materializes the formula and runs in time independent
-of the tableau size for a fixed machine.
+on the kind's variables at the first time step and tiles each family
+over the time steps it spans, by shifting every literal a whole time
+step's block of variables per step; clause_access keys on the queried
+ones only, so it never materializes the formula and runs in time
+independent of the tableau size for a fixed machine.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -74,6 +77,10 @@ class TuringMachine:
                 q2, s2, mv = self.transition[(q, s)]
                 if q2 not in self.states or s2 not in SYMBOLS or mv not in MOVES:
                     raise ValueError(f"delta entry for {(q, s)!r} is bad: {(q2, s2, mv)!r}")
+        if len(self.transition) != len(self.states) * len(SYMBOLS):
+            known = {(q, s) for q in self.states for s in SYMBOLS}
+            extra = next(key for key in self.transition if key not in known)
+            raise ValueError(f"delta has an entry for {extra!r:.60} outside states and symbols")
         for name in ("accept", "reject"):
             halt = getattr(self, name)
             for s in SYMBOLS:
@@ -332,20 +339,22 @@ def _w_literal(var: int, bit: int, negate: bool) -> int:
 
 
 def _generate_clauses(layout: TableauLayout, only_vars: set[int] | None):
-    """Clause stream, optionally restricted to clauses over only_vars.
+    """Clause blocks (steps, clauses), optionally restricted to only_vars.
 
     Every clause of a family contains a variable of one known kind, so each
-    family is enumerated once, over keys(kind): every variable of that kind
-    when compiling (only_vars=None), or only the wanted ones, decoded, for
-    clause_access.  Keys come in variable-index order, so both modes emit in
-    the same fixed family order; want() keeps the clauses whose variables
-    all lie in only_vars, and the restricted stream never touches the rest
-    of the tableau.
+    family is enumerated once, over keys(kind), into one block tagged with
+    the time steps it spans (T for B-D, T - 1 for E-G, 1 for A and H).
+    compile_cnf keys on time step 1 (and every witness variable) and tiles
+    each block; clause_access keys on the wanted variables only, decoded,
+    and joins the blocks.  Keys come in variable-index order, so both modes
+    emit in the same fixed family order; want() keeps the clauses whose
+    variables all lie in only_vars, and the restricted stream never touches
+    the rest of the tableau.
     """
     mach, T, R, P = layout.machine, layout.T, layout.R, layout.P
 
     def want(*vs) -> bool:
-        return only_vars is None or all(v in only_vars for v in vs)
+        return only_vars is None or only_vars.issuperset(vs)
 
     wanted = [layout.var_info(v) for v in sorted(only_vars or ())]
 
@@ -355,13 +364,15 @@ def _generate_clauses(layout: TableauLayout, only_vars: set[int] | None):
             return [info for info in wanted if info[0] == kind]
         if kind == "w":
             return [("w", v) for v in range(1, R + 1)]
-        times = range(1, T if kind == "hp" else T + 1)
         if kind == "head":
-            return [("head", t, pos) for t in times for pos in range(P)]
+            return [("head", 1, pos) for pos in range(P)]
         if kind == "state":
-            return [("state", t, q) for t in times for q in mach.states]
-        return [(kind, t, pos, s) for t in times for pos in range(P) for s in SYMBOLS]
+            return [("state", 1, q) for q in mach.states]
+        if kind == "hp" and T == 1:
+            return []
+        return [(kind, 1, pos, s) for pos in range(P) for s in SYMBOLS]
 
+    witness = []
     for _, wv in keys("w"):
         if wv == 1:
             # family A1: step one driven by witness bit 1 (head at cell 0, start state)
@@ -373,29 +384,32 @@ def _generate_clauses(layout: TableauLayout, only_vars: set[int] | None):
                     layout.head(1, layout.clamp(0, mv)),
                 ):
                     if want(wv, conseq):
-                        yield _clause(_w_literal(wv, bit, negate=True), conseq)
+                        witness.append(_clause(_w_literal(wv, bit, negate=True), conseq))
         else:
             # family A2: untouched witness cells persist to t=1
             for bit in (0, 1):
                 sv = layout.sym(1, wv - 1, bit)
                 if want(wv, sv):
-                    yield _clause(_w_literal(wv, bit, negate=True), sv)
-                    yield _clause(_w_literal(wv, bit, negate=False), -sv)
+                    witness.append(_clause(_w_literal(wv, bit, negate=True), sv))
+                    witness.append(_clause(_w_literal(wv, bit, negate=False), -sv))
 
     syms = keys("sym")
     # family A3: cells blank at t=0 stay blank at t=1 (head cannot reach them)
     for _, t, pos, s in syms:
         if t == 1 and pos >= R and s == BLANK:
-            yield _clause(layout.sym(t, pos, s))
+            witness.append(_clause(layout.sym(t, pos, s)))
+    yield 1, witness
 
     # family B: cell one-hot (pairwise exclusion + at-least-one, width 3)
+    one_hot = []
     for t, pos in dict.fromkeys((t, pos) for _, t, pos, _ in syms):
         v = [layout.sym(t, pos, s) for s in SYMBOLS]
         for i, j in itertools.combinations(range(3), 2):
             if want(v[i], v[j]):
-                yield _clause(-v[i], -v[j])
+                one_hot.append(_clause(-v[i], -v[j]))
         if want(*v):
-            yield _clause(v[0], v[1], v[2])
+            one_hot.append(_clause(v[0], v[1], v[2]))
+    yield T, one_hot
 
     # families C and D: at most one head position, and one state, per time step
     for kind in ("head", "state"):
@@ -403,32 +417,36 @@ def _generate_clauses(layout: TableauLayout, only_vars: set[int] | None):
         by_t: dict[int, list] = {}
         for _, t, x in keys(kind):
             by_t.setdefault(t, []).append(x)
-        for t, xs in by_t.items():
-            for x1, x2 in itertools.combinations(xs, 2):
-                yield _clause(-var(t, x1), -var(t, x2))
+        yield T, [_clause(-var(t, x1), -var(t, x2))
+                  for t, xs in by_t.items() for x1, x2 in itertools.combinations(xs, 2)]
 
     hps = keys("hp")
     # family E: hp[t,pos,s] = head[t,pos] AND sym[t,pos,s]
+    conjunction = []
     for _, t, pos, s in hps:
         h, sv, hpv = layout.head(t, pos), layout.sym(t, pos, s), layout.hp(t, pos, s)
         if want(hpv, h):
-            yield _clause(-hpv, h)
+            conjunction.append(_clause(-hpv, h))
         if want(hpv, sv):
-            yield _clause(-hpv, sv)
+            conjunction.append(_clause(-hpv, sv))
         if want(h, sv, hpv):
-            yield _clause(-h, -sv, hpv)
+            conjunction.append(_clause(-h, -sv, hpv))
+    yield T - 1, conjunction
 
     # family F: symbols persist where the head is absent
+    persist = []
     for _, t, pos, s in syms:
         if t < T:
             trio = (layout.head(t, pos), layout.sym(t, pos, s), layout.sym(t + 1, pos, s))
             if want(*trio):
-                yield _clause(trio[0], -trio[1], trio[2])
+                persist.append(_clause(trio[0], -trio[1], trio[2]))
+    yield T - 1, persist
 
     # family G: transition firing, keyed on state and hp, in (t, q, s, pos) order
     hp_at: dict[tuple, list[int]] = {}
     for _, t, pos, s in hps:
         hp_at.setdefault((t, s), []).append(pos)
+    firing = []
     for _, t, q in keys("state"):
         for s in SYMBOLS:
             q2, s2, mv = mach.transition[(q, s)]
@@ -440,12 +458,32 @@ def _generate_clauses(layout: TableauLayout, only_vars: set[int] | None):
                     layout.head(t + 1, layout.clamp(pos, mv)),
                 ):
                     if want(sv, hv, conseq):
-                        yield _clause(-sv, -hv, conseq)
+                        firing.append(_clause(-sv, -hv, conseq))
+    yield T - 1, firing
 
     # family H: the run accepts by time T
     acc = layout.state(T, mach.accept)
-    if want(acc):
-        yield _clause(acc)
+    yield 1, [_clause(acc)] if want(acc) else []
+
+
+def _tiled(block: list, steps: int, shift: int) -> list:
+    """block and its copies at the next steps - 1 time steps, the k-th with
+    every literal k * shift further from zero.  Each distinct literal steps
+    through one range and an itemgetter spreads a step's literals over the
+    clauses, so the copies are built in C and share their ints."""
+    if steps == 1 or not block:
+        return block
+    lits = list(dict.fromkeys(lit for clause in block for lit in clause))
+    where = {lit: n for n, lit in enumerate(lits)}
+    spread = operator.itemgetter(*[where[lit] for clause in block for lit in clause])
+    ranges = []
+    for lit in lits:
+        step = shift if lit > 0 else -shift
+        ranges.append(range(lit, lit + steps * step, step))
+    tiled = []
+    for row in zip(*ranges):  # the distinct literals at one time step
+        tiled += zip(*[iter(spread(row))] * 3)
+    return tiled
 
 
 def compile_cnf(machine: TuringMachine, T: int, R: int) -> CNF:
@@ -453,10 +491,14 @@ def compile_cnf(machine: TuringMachine, T: int, R: int) -> CNF:
 
     Satisfying assignments are exactly the accepting runs: the witness
     occupies variables 1..R and, per accepting witness, the tableau
-    extension is unique.
+    extension is unique.  Each clause family is generated at time step 1 and
+    tiled: every time step's block of variables has the same offsets, the
+    last one lacking only hp, and starts _per_full after the previous one.
     """
     layout = TableauLayout(machine, T, R)
-    clauses = list(_generate_clauses(layout, None))
+    clauses = []
+    for steps, block in _generate_clauses(layout, None):
+        clauses += _tiled(block, steps, layout._per_full)
     return CNF(layout.num_vars, clauses, layout)
 
 
@@ -467,7 +509,8 @@ def clause_access(machine: TuringMachine, T: int, R: int, i: int, j: int, k: int
     when no clause fits.  Runs without materializing the formula.
     """
     layout = TableauLayout(machine, T, R)  # var_info refuses an index out of range
-    return list(dict.fromkeys(_generate_clauses(layout, {i, j, k}))) or None
+    blocks = _generate_clauses(layout, {i, j, k})
+    return list(dict.fromkeys(itertools.chain.from_iterable(b for _, b in blocks))) or None
 
 
 def _assignment_from_rows(layout: TableauLayout, rows) -> Assignment:

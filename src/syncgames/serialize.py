@@ -129,9 +129,11 @@ def _render_matrix(a: np.ndarray, memo: dict) -> str:
     are not yet in memo goes through the %-template, the rest reuse its text."""
     if a.ndim != 2 or a.dtype.kind != "f":
         raise ValueError(f"cannot serialize a {a.ndim}-D {a.dtype} array")
+    if a.dtype != np.float64:
+        with np.errstate(over="ignore"):  # a longdouble past float64 turns inf, refused next
+            a = a.astype(np.float64)
     if not np.isfinite(a).all():
         raise ValueError(_NON_FINITE)
-    a = np.asarray(a, dtype=np.float64)
     template = "[" + ", ".join(["%.17g"] * a.shape[1]) + "]"
     rows = []
     for row in a:
@@ -341,15 +343,28 @@ def machine_to_doc(machine: TuringMachine) -> dict:
     }
 
 
+# a delta entry's tape symbol as written in a document -> the machine's symbol
+_DOC_SYMBOLS = {0: 0, 1: 1, "0": 0, "1": 1, BLANK: BLANK}
+
+
+def _tape_symbol(s):
+    if type(s) not in (int, str) or s not in _DOC_SYMBOLS:  # so no bool or float
+        raise ValueError(f"machine field 'delta' holds symbol {s!r:.60}, not 0, 1 or {BLANK!r}")
+    return _DOC_SYMBOLS[s]
+
+
 def machine_from_doc(doc: dict) -> TuringMachine:
     """Machine from its document; tape symbols 0 and 1 may be JSON
     integers or strings, the blank is "_"."""
     delta = {}
     for entry in _field(doc, "machine", "delta", list):
         q, s, q2, s2, move = _labels("machine", "delta", entry, 5)
-        delta[(q, s if s == BLANK else int(s))] = (q2, s2 if s2 == BLANK else int(s2), move)
+        key = (q, _tape_symbol(s))
+        if key in delta:
+            raise ValueError(f"machine field 'delta' has two entries for {key!r:.60}")
+        delta[key] = (q2, _tape_symbol(s2), move)
     return TuringMachine(
-        states=tuple(_field(doc, "machine", "states", list)),
+        states=_labels("machine", "states", _field(doc, "machine", "states", list)),
         start=_field(doc, "machine", "start", str),
         accept=_field(doc, "machine", "accept", str),
         reject=_field(doc, "machine", "reject", str),

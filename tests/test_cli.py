@@ -566,12 +566,23 @@ class TestMachineRefusals:
             ({"reject": "zz"}, "reject"),
             ({"reject": "A"}, "reject"),
             ({"states": ["A", "R", "A"]}, "states"),
+            ({"states": ["A", "R", {"B": 0}]}, "states"),
             ({"delta": ACCEPT_MACHINE["delta"][:-1]}, "delta"),
             ({"delta": [["A", 0, "R", 0, "S"], *ACCEPT_MACHINE["delta"][1:]]}, "delta"),
             ({"delta": [["A", 0, "A", 0, "X"], *ACCEPT_MACHINE["delta"][1:]]}, "delta"),
+            ({"delta": [*ACCEPT_MACHINE["delta"], ["zz", 0, "A", 0, "S"]]}, "delta"),
+            ({"delta": [*ACCEPT_MACHINE["delta"], ["A", 7, "A", 0, "S"]]}, "delta"),
+            ({"delta": [["A", 0.9, "A", 0, "S"], *ACCEPT_MACHINE["delta"][1:]]}, "delta"),
+            ({"delta": [["A", True, "A", 1, "S"], *ACCEPT_MACHINE["delta"]]}, "delta"),
+            ({"delta": [*ACCEPT_MACHINE["delta"], ACCEPT_MACHINE["delta"][0]]}, "delta"),
+            ({"delta": [*ACCEPT_MACHINE["delta"], ["A", "0", "A", 0, "S"]]}, "delta"),
+            ({"delta": [["A", 0, "A", "x", "S"], *ACCEPT_MACHINE["delta"][1:]]}, "delta"),
+            ({"delta": [["A", 0, "A", 0.0, "S"], *ACCEPT_MACHINE["delta"][1:]]}, "delta"),
         ],
-        ids=["start", "accept", "reject", "accept_is_reject", "repeated_state", "missing_entry",
-             "halt_not_absorbing", "bad_move"],
+        ids=["start", "accept", "reject", "accept_is_reject", "repeated_state", "object_state",
+             "missing_entry", "halt_not_absorbing", "bad_move", "unknown_state", "unknown_symbol", "float_symbol",
+             "bool_symbol", "repeated_entry", "repeated_entry_as_string", "written_letter",
+             "written_float"],
     )
     def test_compile_names_the_field(self, tmp_path, capsys, change, field):
         path = tmp_path / "machine.json"

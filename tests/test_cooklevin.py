@@ -27,6 +27,7 @@ from syncgames.cooklevin import (
     tableau_assignment,
     witness_to_assignment,
 )
+from syncgames.cooklevin import _generate_clauses
 from syncgames.serialize import cnf_to_dimacs, machine_from_doc, machine_to_doc
 
 from helpers import brute_force_sat, enumerate_models
@@ -128,11 +129,36 @@ class TestCompile:
              "eef8cd5170b1721c8d1d5924392e04ac0f072732742fff1a3e4eaca14c375116"),
             (parity_decider, 8, 3,
              "7ba5ae453faeb70621c51ed402cf2c19018475978d2a6d1001e516fa6d08c7c7"),
+            (parity_decider, 1, 3,
+             "af68b9652a7322d0186ff7d860cd4d17e6057428be20890f931b220a0f05c24d"),
+            (parity_decider, 3, 7,
+             "6d7636b21bd575bf5b5864181c57676f98c58cac2ab161360714355ea7d54961"),
         ],
     )
     def test_dimacs_digest_pinned(self, machine, T, R, digest):
         text = cnf_to_dimacs(compile_cnf(machine(), T, R))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "machine, T, R",
+        [
+            (equality_machine, 1, 2),
+            (equality_machine, 2, 2),
+            (equality_machine, 5, 9),
+            (always_accept_machine, 1, 1),
+            (always_accept_machine, 2, 4),
+            (always_reject_machine, 2, 1),
+            (always_reject_machine, 3, 6),
+            (parity_decider, 1, 3),
+            (parity_decider, 2, 3),
+            (parity_decider, 3, 7),
+        ],
+    )
+    def test_tiled_formula_is_the_keyed_stream(self, machine, T, R):
+        # keyed on every variable, the generator walks each time step itself
+        cnf = compile_cnf(machine(), T, R)
+        blocks = _generate_clauses(cnf.layout, set(range(1, cnf.num_vars + 1)))
+        assert cnf.clauses == [clause for _, block in blocks for clause in block]
 
     def test_witness_bits_come_first(self):
         m = always_accept_machine()

@@ -169,6 +169,12 @@ class TestBulkRendering:
         with pytest.raises(ValueError, match="non-finite"):
             dumps(matrix_to_doc(m))
 
+    def test_longdouble_past_float64_rejected(self):
+        # finite as an x86 longdouble, inf in the float64 that would be written
+        m = np.array([[np.longdouble("1e400"), 1]], dtype=np.longdouble)
+        with pytest.raises(ValueError, match="cannot serialize non-finite numbers"):
+            dumps({"m": m})
+
     def test_float32_rows_keyed_as_float64(self):
         # the bytes of the float32 row are those of a finite float64 row of width 2
         f32 = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
